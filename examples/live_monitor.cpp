@@ -24,7 +24,7 @@ using namespace wm;
 namespace {
 
 /// Prints every monitor event as it fires (single-threaded delivery —
-/// no locking needed, unlike an engine sink with shards > 0).
+/// no locking needed, unlike a MonitorFleet sink).
 class PrintSink final : public engine::EventSink {
  public:
   void on_question_opened(const engine::QuestionOpenedEvent& event) override {

@@ -15,7 +15,7 @@
 //     PacketSource --read_batch--> dispatcher --(flow-hash)--> shards
 //       each shard: a pair of lock-free SPSC rings (inbound batches in,
 //         drained batches recycled back) -> reassemble -> TLS records
-//         -> classify -> collector (per-viewer log, sink callbacks)
+//         -> classify -> collector (per-viewer observation + gap logs)
 //     finish(): drain, join, per-viewer + combined choice decode
 //
 // The dispatcher→shard handoff is a bounded SPSC ring of PacketBatch
@@ -30,13 +30,12 @@
 // Determinism: the final EngineResult is byte-identical to the batch
 // pipeline's output on the same packets for ANY shard count, because
 // choice decoding runs on the collector's time-ordered observation log,
-// not on racy arrival order. Live sink updates are best-effort
-// snapshots (arrival order); the final result is exact.
+// not on racy arrival order. The engine produces no live events: answers
+// as they happen come from monitor::ContinuousMonitor / MonitorFleet.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -44,7 +43,6 @@
 
 #include "wm/core/classifier.hpp"
 #include "wm/core/decoder.hpp"
-#include "wm/core/engine/events.hpp"
 #include "wm/core/engine/source.hpp"
 #include "wm/core/engine/stats.hpp"
 #include "wm/net/reassembly.hpp"
@@ -61,7 +59,7 @@ struct EngineConfig {
   /// Packets per dispatch batch: amortizes the ring handoff and the
   /// per-batch virtual source read.
   std::size_t dispatch_batch = 256;
-  /// Maximum batches buffered per shard before feed() blocks
+  /// Maximum batches buffered per shard before consume() blocks
   /// (backpressure; the engine never drops packets). Rounded up to a
   /// power of two by the underlying ring. Deliberately shallow: the
   /// in-flight window (queue_capacity x dispatch_batch x packet size,
@@ -74,9 +72,6 @@ struct EngineConfig {
   /// (batch semantics). Classified observations survive eviction; only
   /// reassembly/parser state is freed.
   util::Duration flow_idle_timeout{};
-  /// Duplicate-suppression window for question detection (same meaning
-  /// as core::decode_choices).
-  util::Duration min_question_gap = util::Duration::millis(120);
   /// Per-flow TCP reassembly tuning (reorder window before a hole is
   /// declared dead, buffer budget) applied by every shard's extractor.
   net::TcpStreamReassembler::Config reassembly;
@@ -89,7 +84,7 @@ struct EngineConfig {
   /// opened"), shard-count-invariant rollups ("engine.flows.opened"),
   /// collector totals and stage timings. Null = zero overhead. The
   /// registry must outlive the engine; snapshots may be taken from any
-  /// thread (including an EventSink callback) while the engine runs.
+  /// thread while the engine runs.
   obs::Registry* metrics = nullptr;
 };
 
@@ -108,33 +103,13 @@ struct EngineResult {
 class ShardedFlowEngine {
  public:
   /// The classifier must already be fitted and must outlive the engine;
-  /// classify() is called concurrently from worker threads. `sink` may
-  /// be null (no live events); when set it must outlive the engine and
-  /// honour the EventSink thread-safety contract (events.hpp) —
-  /// callbacks arrive from worker threads.
+  /// classify() is called concurrently from worker threads.
   explicit ShardedFlowEngine(const core::RecordClassifier& classifier,
-                             EngineConfig config = {},
-                             EventSink* sink = nullptr);
+                             EngineConfig config = {});
   ~ShardedFlowEngine();
 
   ShardedFlowEngine(const ShardedFlowEngine&) = delete;
   ShardedFlowEngine& operator=(const ShardedFlowEngine&) = delete;
-
-  /// Offer one packet. May block on shard-queue backpressure.
-  void feed(net::Packet packet);
-
-  /// Offer a batch. Owned/borrowed packets are copied into recycled
-  /// shard slots; a view batch (PacketBatch::has_views()) is demuxed as
-  /// views — no frame bytes move — and must honour the read_views()
-  /// lifetime contract (backing bytes stable until after finish()).
-  /// May block on backpressure.
-  void ingest(const PacketBatch& batch);
-
-  /// Offer an owned batch for consumption: packet buffers are swapped
-  /// into the shard slots instead of copied (borrowed batches fall
-  /// back to the copying overload). The batch is left cleared with its
-  /// slot capacity intact, ready for the next read_batch() refill.
-  void ingest(PacketBatch&& batch);
 
   /// Pull `source` to exhaustion. Probes the zero-copy read_views()
   /// path once; if the source serves stable views (mmap capture,
@@ -149,12 +124,24 @@ class ShardedFlowEngine {
   /// engine cannot be fed afterwards.
   EngineResult finish();
 
-  /// Packets offered so far (safe to read concurrently with feed()).
+  /// Packets offered so far (safe to read concurrently with consume()).
   [[nodiscard]] std::uint64_t packets_in() const;
 
  private:
   struct Shard;
   class Collector;
+
+  /// Offer a batch. Owned/borrowed packets are copied into recycled
+  /// shard slots; a view batch (PacketBatch::has_views()) is demuxed as
+  /// views — no frame bytes move — and must honour the read_views()
+  /// lifetime contract (backing bytes stable until after finish()).
+  /// May block on backpressure.
+  void ingest(const PacketBatch& batch);
+  /// Offer an owned batch for consumption: packet buffers are swapped
+  /// into the shard slots instead of copied (borrowed batches fall
+  /// back to the copying overload). The batch is left cleared with its
+  /// slot capacity intact, ready for the next read_batch() refill.
+  void ingest(PacketBatch&& batch);
 
   std::size_t shard_for(const net::Packet& packet) const;
   std::size_t shard_for(util::BytesView frame) const;
@@ -205,7 +192,6 @@ class ShardedFlowEngine {
 
 /// One-call convenience: run `source` through an engine.
 EngineResult analyze(const core::RecordClassifier& classifier,
-                     PacketSource& source, EngineConfig config = {},
-                     EventSink* sink = nullptr);
+                     PacketSource& source, EngineConfig config = {});
 
 }  // namespace wm::engine

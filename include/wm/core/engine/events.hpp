@@ -1,33 +1,24 @@
-// Typed event API for live inference consumers.
+// Typed event API for live inference consumers. The producers are
+// wm::monitor::ContinuousMonitor and MonitorFleet (the batch engine
+// emits nothing live; its finish() result is the batch answer). An
+// EventSink receives the four moments a monitoring consumer cares
+// about, named:
 //
-// The engine's original sink was a bare std::function<void(const
-// ViewerUpdate&)> that re-announced the entire running decode on every
-// classified record, leaving the consumer to diff snapshots to learn
-// what actually happened. EventSink replaces it with the four moments a
-// monitoring consumer cares about, named:
-//
-//   QuestionOpened  — a type-1 marker anchored a new question for a
-//                     viewer (choice currently the default).
-//   ChoiceInferred  — a question's answer is known: an override marker
-//                     flipped it to non-default, or (continuous
-//                     monitor) its evidence window closed on the
-//                     default. `final` distinguishes the two regimes.
-//   ViewerEvicted   — the continuous monitor dropped a viewer's state
-//                     (idle timeout, memory shed, shutdown flush). The
-//                     batch engine never emits this: its viewers live
-//                     until finish().
+//   QuestionOpened  — a marker anchored a new question for a viewer
+//                     (choice the default, unless an orphaned override
+//                     synthesized it).
+//   ChoiceInferred  — a question's answer is final: an override flipped
+//                     it, its successor opened, its evidence window
+//                     closed, or its viewer was evicted.
+//   ViewerEvicted   — the monitor dropped a viewer's state (idle
+//                     timeout, memory shed, shutdown flush).
 //   GapObserved     — unrecoverable loss on a viewer's upload stream;
 //                     subsequent inferences for that viewer may carry
 //                     reduced confidence.
 //
-// THREAD-SAFETY CONTRACT. ShardedFlowEngine invokes the sink from its
-// worker threads (or the calling thread in inline mode): callbacks for
-// *different* viewers may run concurrently, so implementations must be
-// thread-safe; per-viewer question numbering is monotonic but delivery
-// order across viewers is unspecified. wm::monitor::ContinuousMonitor
-// is single-threaded and delivers every event serially from the thread
-// driving it. wm::monitor::MonitorFleet sits between the two: each
-// shard worker delivers its events directly (merge-free), so callbacks
+// THREAD-SAFETY CONTRACT. ContinuousMonitor is single-threaded and
+// delivers every event serially from the thread driving it.
+// MonitorFleet delivers merge-free from its shard workers: callbacks
 // run concurrently from N threads, BUT every viewer is pinned to one
 // shard — all events for one viewer arrive from one thread, serially,
 // in that viewer's capture-time order. Implementations therefore need
@@ -36,8 +27,7 @@
 // sink in monitor::OrderingCollector (or FleetConfig::global_order),
 // trading emission latency for a total order. In every regime
 // callbacks run on the packet path — block in one and you stall ingest
-// (the engine's backpressure, the monitor's replay clock, a fleet
-// shard's ring). Events and any `session` pointer they carry are valid
+// (the monitor's replay clock, a fleet shard's ring). Events are valid
 // only for the duration of the callback; copy what you keep.
 //
 // Part of this contract is machine-checked (DESIGN.md §3.8): a sink
@@ -50,38 +40,23 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
-#include <utility>
 
-#include "wm/core/classifier.hpp"
 #include "wm/core/decoder.hpp"
 #include "wm/util/time.hpp"
 
 namespace wm::engine {
 
-/// One live inference update for one viewer (the legacy snapshot-diff
-/// shape, kept for CallbackSink compatibility).
-struct ViewerUpdate {
-  std::string client;             // viewer address (collector key)
-  core::RecordClass record_class; // what just fired
-  std::uint16_t record_length = 0;
-  util::SimTime at;               // record timestamp
-  core::InferredSession session;  // running decode snapshot
-};
-
 struct QuestionOpenedEvent {
   // wm-lint: allow(borrow): events are callback-scoped by contract (see
   // header comment); consumers copy what they keep.
   std::string_view client;
-  /// The question as currently decoded: choice is the default until a
-  /// ChoiceInferred follows for the same index.
+  /// The question as opened: choice is the default (unless synthesized
+  /// from an orphaned override) until a ChoiceInferred follows for the
+  /// same index.
   core::InferredQuestion question;
-  std::uint16_t record_length = 0;  // the anchoring type-1 record
-  /// Running decode snapshot for this viewer; may be null (continuous
-  /// monitor viewers shed their history). Callback-scoped.
-  const core::InferredSession* session = nullptr;
+  std::uint16_t record_length = 0;  // the anchoring record
 };
 
 struct ChoiceInferredEvent {
@@ -89,17 +64,15 @@ struct ChoiceInferredEvent {
   // QuestionOpenedEvent.
   std::string_view client;
   core::InferredQuestion question;
-  /// The record that settled it (0 when a timer, not a record, closed
-  /// the evidence window).
+  /// The override record that settled it (0 when a successor question,
+  /// the window timer or eviction closed it).
   std::uint16_t record_length = 0;
   /// Emission time: the settling record's timestamp, or the evidence
   /// window deadline for timer closes.
   util::SimTime at;
-  /// True when the evidence window is closed and this answer will not
-  /// be revised (continuous monitor). The batch engine emits running
-  /// overrides with final=false; its finish() result is authoritative.
+  /// True when this answer will not be revised — every answer the
+  /// monitor and fleet emit.
   bool final = false;
-  const core::InferredSession* session = nullptr;  // see QuestionOpenedEvent
 };
 
 struct ViewerEvictedEvent {
@@ -133,46 +106,6 @@ class EventSink {
   virtual void on_choice_inferred(const ChoiceInferredEvent&) {}
   virtual void on_viewer_evicted(const ViewerEvictedEvent&) {}
   virtual void on_gap_observed(const GapObservedEvent&) {}
-};
-
-/// Legacy callback shape.
-using SessionCallback = std::function<void(const ViewerUpdate&)>;
-
-/// Compatibility adapter: wraps a SessionCallback as an EventSink,
-/// synthesizing the old per-record ViewerUpdate (QuestionOpened maps to
-/// a type-1 update, ChoiceInferred to a type-2). The callback inherits
-/// the sink's thread-safety obligations. Updates carry a copy of the
-/// running snapshot when the producer supplies one, an empty session
-/// otherwise.
-class CallbackSink final : public EventSink {
- public:
-  explicit CallbackSink(SessionCallback callback)
-      : callback_(std::move(callback)) {}
-
-  void on_question_opened(const QuestionOpenedEvent& event) override {
-    if (!callback_) return;
-    ViewerUpdate update;
-    update.client = std::string(event.client);
-    update.record_class = core::RecordClass::kType1Json;
-    update.record_length = event.record_length;
-    update.at = event.question.question_time;
-    if (event.session != nullptr) update.session = *event.session;
-    callback_(update);
-  }
-
-  void on_choice_inferred(const ChoiceInferredEvent& event) override {
-    if (!callback_) return;
-    ViewerUpdate update;
-    update.client = std::string(event.client);
-    update.record_class = core::RecordClass::kType2Json;
-    update.record_length = event.record_length;
-    update.at = event.at;
-    if (event.session != nullptr) update.session = *event.session;
-    callback_(update);
-  }
-
- private:
-  const SessionCallback callback_;
 };
 
 }  // namespace wm::engine

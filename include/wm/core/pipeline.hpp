@@ -9,7 +9,8 @@
 //
 // whose options carry every knob that used to multiply overloads:
 // per-client splitting, story-graph path reconstruction, shard count
-// for the streaming engine, flow eviction, and a live event sink.
+// for the streaming engine and flow eviction. Live per-viewer events
+// come from wm::monitor::ContinuousMonitor / MonitorFleet instead.
 // File-based inference goes through infer_capture(), which reports
 // typed errors. The historic vector/path convenience overloads are
 // gone; wrap a vector in engine::VectorSource and set
@@ -51,8 +52,6 @@ struct InferOptions {
   /// When set, reconstruct the watched path through this story graph
   /// from the combined choice sequence; fills InferReport::path.
   const story::StoryGraph* story = nullptr;
-  /// Duplicate-suppression window for question detection.
-  util::Duration min_question_gap = util::Duration::millis(120);
   /// Evict idle per-flow analysis state (0 = never; see EngineConfig).
   util::Duration flow_idle_timeout{};
   /// Per-flow TCP reassembly tuning: reorder window (bytes/segments)
@@ -61,11 +60,6 @@ struct InferOptions {
   /// lossy captures; shrink the windows to trade recovery latency for
   /// memory on heavily impaired taps.
   net::TcpStreamReassembler::Config reassembly;
-  /// Live typed per-viewer events (question opened / choice inferred /
-  /// gap observed) as records are analyzed. Must outlive the infer call
-  /// and honour the EventSink thread-safety contract (engine/events.hpp)
-  /// when shards > 0. Null = no live events.
-  engine::EventSink* sink = nullptr;
   /// Observability (wm::obs): registry every stage reports into —
   /// pipeline decode totals, engine per-shard/rollup counters, capture
   /// source counters, stage timings. Null (the default) means no

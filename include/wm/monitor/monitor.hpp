@@ -18,8 +18,9 @@
 // ContinuousMonitor is the single-threaded composition of those parts:
 // one TLS record-stream extractor, one hierarchical timer wheel
 // (flow-idle sweeps, viewer-idle eviction, per-question evidence
-// windows), and an incremental per-viewer decoder that mirrors
-// core::decode_choices observation for observation. Events leave
+// windows), and one core::ChoiceDecoder per viewer — the same
+// incremental decoder core::decode_choices drives over a whole log; the
+// monitor only decides when each question settles. Events leave
 // through the typed engine::EventSink the moment they are known, on
 // the calling thread, serially.
 //
@@ -29,9 +30,9 @@
 // its question (the window closing is what makes an answer final), and
 // (b) the viewer was not shed by a memory ceiling. Confidence values
 // match except for gaps that arrive only after a question's window
-// already closed — the batch post-pass sees those, an online emitter
-// cannot. Shard the engine for throughput; run the monitor for
-// latency-bounded answers.
+// already closed — batch settles a question only when its successor
+// opens and so sees those, an online emitter cannot. Shard the engine
+// for throughput; run the monitor for latency-bounded answers.
 #pragma once
 
 #include <cstdint>
@@ -51,9 +52,6 @@
 namespace wm::monitor {
 
 struct MonitorConfig {
-  /// Duplicate-suppression window for adjacent type-1 classifications
-  /// (same meaning as core::DecodeOptions).
-  util::Duration min_question_gap = util::Duration::millis(120);
   /// A question's answer becomes final this long after its anchor if
   /// no override (or next question) settles it sooner. Must cover the
   /// viewer's slowest override for online == batch answers.
@@ -64,17 +62,14 @@ struct MonitorConfig {
   /// Evict per-flow reassembly/parser state idle longer than this,
   /// swept from the timer wheel. Zero = never.
   util::Duration flow_idle_timeout = util::Duration::seconds(60);
-  /// Gap-aware decode taints (same meaning as core::DecodeOptions).
-  util::Duration gap_window = util::Duration::seconds(1);
-  double after_gap_confidence = 0.5;
-  double gap_window_confidence = 0.6;
   /// Per-flow TCP reassembly tuning for the extractor.
   net::TcpStreamReassembler::Config reassembly;
   /// Timer wheel geometry (default: 10ms ticks, 256 slots, 4 levels).
   util::TimerWheel::Config wheel;
 
   // --- Memory ceilings ------------------------------------------------
-  /// Gap-history budget per viewer: oldest gap spans fall off first.
+  /// Gap-history budget per viewer: the earliest-recorded spans fall
+  /// off first.
   std::size_t max_viewer_gaps = 16;
   /// Global budget for viewer decode state (approximate bytes; the
   /// extractor's flow state is bounded separately by flow_idle_timeout

@@ -1,6 +1,7 @@
 #include "wm/core/decoder.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace wm::core {
 
@@ -20,18 +21,95 @@ void taint(InferredQuestion& question, double confidence, const char* tag) {
   question.evidence += tag;
 }
 
-/// Any gap strictly after `after` (or anywhere, when unset) and at or
-/// before `until`? `gaps` must be sorted by time.
-bool gap_between(const std::vector<GapSpan>& gaps,
-                 std::optional<util::SimTime> after, util::SimTime until) {
-  for (const GapSpan& gap : gaps) {
-    if (gap.at > until) break;
-    if (!after || gap.at > *after) return true;
-  }
-  return false;
+}  // namespace
+
+ChoiceDecoder::ChoiceDecoder(std::size_t gap_capacity)
+    : gap_capacity_(gap_capacity) {
+  gaps_.reserve(gap_capacity);
 }
 
-}  // namespace
+void ChoiceDecoder::add_gap(GapSpan gap) {
+  if (gap_capacity_ == 0) return;
+  if (gaps_.size() < gap_capacity_) {
+    gaps_.push_back(gap);
+    return;
+  }
+  gaps_[gap_head_] = gap;
+  gap_head_ = (gap_head_ + 1) % gap_capacity_;
+}
+
+ChoiceDecoder::Step ChoiceDecoder::add_record(
+    const ClientRecordObservation& observation, RecordClass cls) {
+  const util::SimTime at = observation.timestamp;
+  Step step;
+  switch (cls) {
+    case RecordClass::kType1Json:
+      if (last_type1_ && at - *last_type1_ < kMinQuestionGap) break;
+      last_type1_ = at;
+      step.settled = open_at(at);
+      if (observation.after_gap) {
+        taint(question_, kAfterGapConfidence, "type1_after_gap");
+      }
+      step.effect = Effect::kOpened;
+      break;
+    case RecordClass::kType2Json: {
+      // Any gap strictly after the last anchor (or any at all before the
+      // first question) at or before this override?
+      const bool hole_since_anchor = std::any_of(
+          gaps_.begin(), gaps_.end(), [&](const GapSpan& gap) {
+            return gap.at <= at && (!last_anchor_ || gap.at > *last_anchor_);
+          });
+      if (hole_since_anchor || (opened_ == 0 && observation.after_gap)) {
+        step.settled = open_at(at);
+        question_.choice = story::Choice::kNonDefault;
+        question_.override_time = at;
+        taint(question_, kAfterGapConfidence, "type2_presumed_lost_type1");
+        step.effect = Effect::kSynthesized;
+        break;
+      }
+      // Stray, or the question already has its (first) override.
+      if (!open_ || question_.choice != story::Choice::kDefault) break;
+      question_.choice = story::Choice::kNonDefault;
+      question_.override_time = at;
+      if (observation.after_gap) {
+        taint(question_, kAfterGapConfidence, "type2_after_gap");
+      }
+      step.effect = Effect::kOverridden;
+      break;
+    }
+    case RecordClass::kOther:
+      break;
+  }
+  return step;
+}
+
+std::optional<InferredQuestion> ChoiceDecoder::open_at(util::SimTime at) {
+  // A successor settles its predecessor: overrides only ever attach to
+  // the most recent question.
+  std::optional<InferredQuestion> predecessor;
+  if (open_) predecessor = settle_before(at);
+  last_anchor_ = at;
+  question_ = InferredQuestion{};
+  question_.index = ++opened_;
+  question_.question_time = at;
+  open_ = true;
+  return predecessor;
+}
+
+InferredQuestion ChoiceDecoder::settle() { return settle_before(std::nullopt); }
+
+InferredQuestion ChoiceDecoder::settle_before(
+    std::optional<util::SimTime> next_question_at) {
+  assert(open_);
+  open_ = false;
+  const util::SimTime start = question_.question_time - kGapWindow;
+  const bool gap_in_window = std::any_of(
+      gaps_.begin(), gaps_.end(), [&](const GapSpan& gap) {
+        return gap.at >= start && (!next_question_at || gap.at < *next_question_at);
+      });
+  if (gap_in_window) taint(question_, kGapWindowConfidence, "gap_in_window");
+  return std::move(question_);
+}
 
 InferredSession decode_choices(
     const RecordClassifier& classifier,
@@ -39,101 +117,29 @@ InferredSession decode_choices(
     const DecodeOptions& options) {
   InferredSession out;
   std::vector<GapSpan> gaps = options.gaps;
-  std::sort(gaps.begin(), gaps.end(), [](const GapSpan& a, const GapSpan& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return a.bytes < b.bytes;
-  });
-
-  std::optional<util::SimTime> last_type1;
-  // The last time a question was created (by a real type-1 *or* by a
-  // synthesized orphan). Separate from last_type1 so synthesis never
-  // feeds the duplicate-suppression window.
-  std::optional<util::SimTime> last_anchor;
-
-  for (const ClientRecordObservation& obs : observations) {
-    const RecordClass cls = classifier.classify(obs.record_length);
+  std::sort(gaps.begin(), gaps.end(),
+            [](const GapSpan& a, const GapSpan& b) { return a.at < b.at; });
+  ChoiceDecoder decoder(gaps.size());
+  auto next_gap = gaps.begin();
+  for (const ClientRecordObservation& observation : observations) {
+    // Gaps first at equal timestamps: a hole declared at an override's
+    // instant lies between it and the last anchor.
+    for (; next_gap != gaps.end() && next_gap->at <= observation.timestamp;
+         ++next_gap) {
+      decoder.add_gap(*next_gap);
+    }
+    const RecordClass cls = classifier.classify(observation.record_length);
     switch (cls) {
-      case RecordClass::kType1Json: {
-        ++out.type1_records;
-        // Suppress duplicates (retransmission artifacts).
-        if (last_type1 && obs.timestamp - *last_type1 < options.min_question_gap) break;
-        last_type1 = obs.timestamp;
-        last_anchor = obs.timestamp;
-        InferredQuestion question;
-        question.index = out.questions.size() + 1;
-        question.question_time = obs.timestamp;
-        question.choice = story::Choice::kDefault;  // until a type-2 shows
-        if (obs.after_gap) {
-          taint(question, options.after_gap_confidence, "type1_after_gap");
-        }
-        out.questions.push_back(std::move(question));
-        break;
-      }
-      case RecordClass::kType2Json: {
-        ++out.type2_records;
-        const bool hole_since_anchor =
-            gap_between(gaps, last_anchor, obs.timestamp);
-        if (hole_since_anchor || (out.questions.empty() && obs.after_gap)) {
-          // A hole sits between the last question anchor and this
-          // override: the type-1 that should anchor it was presumably
-          // lost in the gap. Synthesize the question at low confidence
-          // rather than crediting the override to the previous question
-          // at full strength.
-          InferredQuestion question;
-          question.index = out.questions.size() + 1;
-          question.question_time = obs.timestamp;
-          question.choice = story::Choice::kNonDefault;
-          question.override_time = obs.timestamp;
-          taint(question, options.after_gap_confidence,
-                "type2_presumed_lost_type1");
-          out.questions.push_back(std::move(question));
-          last_anchor = obs.timestamp;
-          break;
-        }
-        if (out.questions.empty()) break;  // stray; nothing to attach to
-        InferredQuestion& current = out.questions.back();
-        // Only the first override of a question counts.
-        if (current.choice == story::Choice::kDefault) {
-          current.choice = story::Choice::kNonDefault;
-          current.override_time = obs.timestamp;
-          if (obs.after_gap) {
-            taint(current, options.after_gap_confidence, "type2_after_gap");
-          }
-        }
-        break;
-      }
-      case RecordClass::kOther:
-        ++out.other_records;
-        break;
+      case RecordClass::kType1Json: ++out.type1_records; break;
+      case RecordClass::kType2Json: ++out.type2_records; break;
+      case RecordClass::kOther: ++out.other_records; break;
     }
+    ChoiceDecoder::Step step = decoder.add_record(observation, cls);
+    if (step.settled) out.questions.push_back(std::move(*step.settled));
   }
-
-  // Post-pass: a gap shortly before a question appeared, or anywhere
-  // before the next question, may have swallowed one of its markers
-  // (most importantly a lost override) — cap the confidence.
-  for (std::size_t i = 0; i < out.questions.size(); ++i) {
-    InferredQuestion& question = out.questions[i];
-    const util::SimTime start = question.question_time - options.gap_window;
-    for (const GapSpan& gap : gaps) {
-      if (gap.at < start) continue;
-      if (i + 1 < out.questions.size() &&
-          gap.at >= out.questions[i + 1].question_time) {
-        break;
-      }
-      taint(question, options.gap_window_confidence, "gap_in_window");
-      break;
-    }
-  }
+  for (; next_gap != gaps.end(); ++next_gap) decoder.add_gap(*next_gap);
+  if (decoder.has_open()) out.questions.push_back(decoder.settle());
   return out;
-}
-
-InferredSession decode_choices(
-    const RecordClassifier& classifier,
-    const std::vector<ClientRecordObservation>& observations,
-    util::Duration min_question_gap) {
-  DecodeOptions options;
-  options.min_question_gap = min_question_gap;
-  return decode_choices(classifier, observations, options);
 }
 
 InferredPath reconstruct_path(const story::StoryGraph& graph,

@@ -7,7 +7,6 @@
 #include "wm/core/features.hpp"
 #include "wm/net/flow.hpp"
 #include "wm/tls/record_stream.hpp"
-#include "wm/util/buffer_pool.hpp"
 #include "wm/util/spsc_ring.hpp"
 #include "wm/util/thread_annotations.hpp"
 
@@ -66,112 +65,37 @@ std::string client_key(const net::FlowKey& flow) {
 
 class ShardedFlowEngine::Collector {
  public:
-  Collector(const core::RecordClassifier& classifier, util::Duration gap,
-            EventSink* sink, obs::Registry* metrics)
-      : classifier_(classifier), gap_(gap), sink_(sink) {
+  Collector(const core::RecordClassifier& classifier, obs::Registry* metrics)
+      : classifier_(classifier) {
     if (metrics != nullptr) {
       client_records_counter_ = metrics->counter("engine.collector.client_records", obs::Stability::kStable);
       type1_counter_ = metrics->counter("engine.collector.type1", obs::Stability::kStable);
       type2_counter_ = metrics->counter("engine.collector.type2", obs::Stability::kStable);
       other_counter_ = metrics->counter("engine.collector.other", obs::Stability::kStable);
       viewers_counter_ = metrics->counter("engine.collector.viewers", obs::Stability::kStable);
-      sink_updates_counter_ = metrics->counter("engine.collector.sink_updates", obs::Stability::kStable);
       gaps_counter_ = metrics->counter("engine.collector.gaps", obs::Stability::kStable);
     }
-  }
-
-  /// Attach pool counters (hit/miss/high-water for the live-update
-  /// snapshot pool). Volatile: recycling depends on worker timing.
-  void set_pool_metrics(const util::PoolMetrics& metrics) {
-    snapshot_pool_.set_metrics(metrics);
   }
 
   void on_record(const std::string& client,
                  const core::ClientRecordObservation& observation,
                  core::RecordClass cls) WM_EXCLUDES(mutex_) {
-    // Live updates copy this viewer's observation log into a pooled
-    // vector: after the first few records the pool hands back retained
-    // capacity, so the per-record path stops allocating.
-    SnapshotPool::Lease snapshot;
-    if (sink_ != nullptr) snapshot = snapshot_pool_.acquire();
-    bool live_update = false;
-    core::DecodeOptions options;
-    options.min_question_gap = gap_;
-    {
-      const util::LockGuard lock(mutex_);
-      auto& observations = clients_[client];
-      if (observations.empty()) obs::inc(viewers_counter_);
-      observations.push_back(observation);
-      ++client_records_;
-      if (cls == core::RecordClass::kType1Json) ++type1_;
-      if (cls == core::RecordClass::kType2Json) ++type2_;
-      // Per-class counters before the total: a snapshot that reads the
-      // total first (map order: "...client_records" < "...other" <
-      // "...type1") then the parts can never see parts < total.
-      switch (cls) {
-        case core::RecordClass::kType1Json: obs::inc(type1_counter_); break;
-        case core::RecordClass::kType2Json: obs::inc(type2_counter_); break;
-        case core::RecordClass::kOther: obs::inc(other_counter_); break;
-      }
-      obs::inc(client_records_counter_);
-      if (sink_ != nullptr && cls != core::RecordClass::kOther) {
-        snapshot->assign(observations.begin(), observations.end());
-        const auto gap_it = gaps_.find(client);
-        if (gap_it != gaps_.end()) options.gaps = gap_it->second;
-        live_update = true;
-      }
+    const util::LockGuard lock(mutex_);
+    auto& observations = clients_[client];
+    if (observations.empty()) obs::inc(viewers_counter_);
+    observations.push_back(observation);
+    ++client_records_;
+    if (cls == core::RecordClass::kType1Json) ++type1_;
+    if (cls == core::RecordClass::kType2Json) ++type2_;
+    // Per-class counters before the total: a snapshot that reads the
+    // total first (map order: "...client_records" < "...other" <
+    // "...type1") then the parts can never see parts < total.
+    switch (cls) {
+      case core::RecordClass::kType1Json: obs::inc(type1_counter_); break;
+      case core::RecordClass::kType2Json: obs::inc(type2_counter_); break;
+      case core::RecordClass::kOther: obs::inc(other_counter_); break;
     }
-    if (!live_update) return;
-    // Decode outside the lock; the snapshot is this viewer's few
-    // hundred observations at most.
-    std::sort(snapshot->begin(), snapshot->end(), observation_before);
-    const core::InferredSession session =
-        core::decode_choices(classifier_, *snapshot, options);
-
-    // Diff the fresh decode against what was already announced for this
-    // viewer, under the lock so concurrent workers (one viewer's flows
-    // can land on different shards) advance the emit cursor
-    // monotonically — each question is announced exactly once even when
-    // two decodes race.
-    std::size_t announce_from = 0;
-    std::size_t announce_to = 0;
-    bool announce_override = false;
-    {
-      const util::LockGuard lock(mutex_);
-      EmitState& state = emitted_[client];
-      if (session.questions.size() > state.questions) {
-        announce_from = state.questions;
-        announce_to = session.questions.size();
-        state.questions = announce_to;
-        state.last_choice = session.questions.back().choice;
-      } else if (!session.questions.empty() &&
-                 session.questions.size() == state.questions &&
-                 session.questions.back().choice != state.last_choice &&
-                 session.questions.back().choice != story::Choice::kDefault) {
-        // The decoder only ever flips default -> non-default for a
-        // given question; a stale racing snapshot that still shows the
-        // default must not announce a "revert".
-        announce_override = true;
-        state.last_choice = session.questions.back().choice;
-      }
-    }
-    for (std::size_t i = announce_from; i < announce_to; ++i) {
-      const core::InferredQuestion& question = session.questions[i];
-      QuestionOpenedEvent opened;
-      opened.client = client;
-      opened.question = question;
-      opened.record_length = observation.record_length;
-      opened.session = &session;
-      obs::inc(sink_updates_counter_);
-      sink_->on_question_opened(opened);
-      if (question.choice != story::Choice::kDefault) {
-        // Born non-default: an orphaned override synthesized it.
-        announce_choice(client, question, observation, session);
-      }
-    }
-    if (announce_override) {
-      announce_choice(client, session.questions.back(), observation, session);
-    }
+    obs::inc(client_records_counter_);
   }
 
   /// A reassembly gap on one of this viewer's client->server streams:
@@ -179,17 +103,9 @@ class ShardedFlowEngine::Collector {
   /// confidence of inferences it touches.
   void on_gap(const std::string& client, core::GapSpan gap)
       WM_EXCLUDES(mutex_) {
-    {
-      const util::LockGuard lock(mutex_);
-      gaps_[client].push_back(gap);
-      obs::inc(gaps_counter_);
-    }
-    if (sink_ != nullptr) {
-      GapObservedEvent event;
-      event.client = client;
-      event.gap = gap;
-      sink_->on_gap_observed(event);
-    }
+    const util::LockGuard lock(mutex_);
+    gaps_[client].push_back(gap);
+    obs::inc(gaps_counter_);
   }
 
   /// Single-threaded (post-join). Sorting per viewer then decoding
@@ -201,7 +117,6 @@ class ShardedFlowEngine::Collector {
     for (auto& [client, observations] : clients_) {
       std::sort(observations.begin(), observations.end(), observation_before);
       core::DecodeOptions options;
-      options.min_question_gap = gap_;
       const auto gap_it = gaps_.find(client);
       if (gap_it != gaps_.end()) {
         options.gaps = gap_it->second;
@@ -214,7 +129,6 @@ class ShardedFlowEngine::Collector {
     }
     std::sort(all.begin(), all.end(), observation_before);
     core::DecodeOptions combined_options;
-    combined_options.min_question_gap = gap_;
     combined_options.gaps = std::move(all_gaps);
     std::sort(combined_options.gaps.begin(), combined_options.gaps.end(),
               gap_before);
@@ -226,33 +140,7 @@ class ShardedFlowEngine::Collector {
   }
 
  private:
-  using SnapshotPool = util::ObjectPool<std::vector<core::ClientRecordObservation>>;
-
-  /// What has already been announced through the sink for one viewer.
-  struct EmitState {
-    std::size_t questions = 0;
-    story::Choice last_choice = story::Choice::kDefault;
-  };
-
-  void announce_choice(const std::string& client,
-                       const core::InferredQuestion& question,
-                       const core::ClientRecordObservation& observation,
-                       const core::InferredSession& session) {
-    ChoiceInferredEvent event;
-    event.client = client;
-    event.question = question;
-    event.record_length = observation.record_length;
-    event.at = observation.timestamp;
-    event.final = false;  // finish() is authoritative in batch mode
-    event.session = &session;
-    obs::inc(sink_updates_counter_);
-    sink_->on_choice_inferred(event);
-  }
-
   const core::RecordClassifier& classifier_;
-  const util::Duration gap_;
-  EventSink* const sink_;
-  SnapshotPool snapshot_pool_;
   // wm-lint: allow(mutex): collector merge point — workers hit it once
   // per flushed session batch, not per packet (see DESIGN.md s2.4).
   util::Mutex mutex_;
@@ -262,7 +150,6 @@ class ShardedFlowEngine::Collector {
   /// gaps before — or without — any decodable observation).
   std::map<std::string, std::vector<core::GapSpan>> gaps_
       WM_GUARDED_BY(mutex_);
-  std::map<std::string, EmitState> emitted_ WM_GUARDED_BY(mutex_);
   std::uint64_t client_records_ WM_GUARDED_BY(mutex_) = 0;
   std::uint64_t type1_ WM_GUARDED_BY(mutex_) = 0;
   std::uint64_t type2_ WM_GUARDED_BY(mutex_) = 0;
@@ -272,7 +159,6 @@ class ShardedFlowEngine::Collector {
   obs::Counter* type2_counter_ = nullptr;
   obs::Counter* other_counter_ = nullptr;
   obs::Counter* viewers_counter_ = nullptr;
-  obs::Counter* sink_updates_counter_ = nullptr;
   obs::Counter* gaps_counter_ = nullptr;
 };
 
@@ -340,11 +226,10 @@ struct ShardedFlowEngine::Shard {
 };
 
 ShardedFlowEngine::ShardedFlowEngine(const core::RecordClassifier& classifier,
-                                     EngineConfig config, EventSink* sink)
+                                     EngineConfig config)
     : classifier_(classifier),
       config_(config),
-      collector_(std::make_unique<Collector>(classifier, config.min_question_gap,
-                                             sink, config.metrics)) {
+      collector_(std::make_unique<Collector>(classifier, config.metrics)) {
   tls::RecordStreamExtractor::Config extractor_config;
   extractor_config.retain_events = false;  // the collector is the memory
   extractor_config.idle_timeout = config_.flow_idle_timeout;
@@ -380,17 +265,6 @@ ShardedFlowEngine::ShardedFlowEngine(const core::RecordClassifier& classifier,
       shards_.back()->work_span = config_.metrics->timing(
           "engine.shard[" + std::to_string(i) + "].work");
     }
-  }
-
-  if (config_.metrics != nullptr) {
-    util::PoolMetrics pool_metrics;
-    pool_metrics.hits = config_.metrics->counter(
-        "engine.collector.snapshot_pool.hits", obs::Stability::kVolatile);
-    pool_metrics.misses = config_.metrics->counter(
-        "engine.collector.snapshot_pool.misses", obs::Stability::kVolatile);
-    pool_metrics.high_water = config_.metrics->counter(
-        "engine.collector.snapshot_pool.high_water", obs::Stability::kVolatile);
-    collector_->set_pool_metrics(pool_metrics);
   }
 
   if (config_.shards > 0) {
@@ -563,19 +437,6 @@ void ShardedFlowEngine::dispatch(std::size_t shard_index) {
   pending_[shard_index] = fresh;
 }
 
-void ShardedFlowEngine::feed(net::Packet packet) {
-  packets_in_.fetch_add(1, std::memory_order_relaxed);
-  bytes_in_.fetch_add(packet.data.size(), std::memory_order_relaxed);
-  obs::inc(packets_in_counter_);
-  if (config_.shards == 0) {
-    process_batch(*shards_[0], &packet, 1);
-    return;
-  }
-  const std::size_t index = shard_for(packet);
-  pending_for(index, false).append(std::move(packet));
-  if (pending_[index]->size() >= config_.dispatch_batch) dispatch(index);
-}
-
 void ShardedFlowEngine::ingest(const PacketBatch& batch) {
   if (batch.has_views()) {
     ingest_views(batch);
@@ -732,9 +593,8 @@ std::uint64_t ShardedFlowEngine::packets_in() const {
 }
 
 EngineResult analyze(const core::RecordClassifier& classifier,
-                     PacketSource& source, EngineConfig config,
-                     EventSink* sink) {
-  ShardedFlowEngine engine(classifier, config, sink);
+                     PacketSource& source, EngineConfig config) {
+  ShardedFlowEngine engine(classifier, config);
   engine.consume(source);
   return engine.finish();
 }

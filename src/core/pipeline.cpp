@@ -36,12 +36,10 @@ InferReport AttackPipeline::infer(engine::PacketSource& source,
 
   engine::EngineConfig config;
   config.shards = options.shards;
-  config.min_question_gap = options.min_question_gap;
   config.flow_idle_timeout = options.flow_idle_timeout;
   config.reassembly = options.reassembly;
   config.metrics = registry;
-  engine::EngineResult result =
-      engine::analyze(*classifier_, source, config, options.sink);
+  engine::EngineResult result = engine::analyze(*classifier_, source, config);
 
   InferReport report;
   report.combined = std::move(result.combined);

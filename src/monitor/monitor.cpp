@@ -1,7 +1,5 @@
 #include "wm/monitor/monitor.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
@@ -47,33 +45,21 @@ std::string client_key(const net::FlowKey& flow) {
 }  // namespace
 
 // One viewer's decode state: O(1) regardless of session length — the
-// running mirror of core::decode_choices' loop variables, not the
-// observation log the batch collector keeps.
+// incremental decoder with its bounded gap ring, not the observation
+// log the batch collector keeps.
 struct ViewerState {
   std::string client;
   util::SimTime last_activity;
-  std::optional<util::SimTime> last_type1;   // duplicate suppression
-  std::optional<util::SimTime> last_anchor;  // gap attribution boundary
-  /// The at-most-one question whose evidence window is open.
-  bool open = false;
-  core::InferredQuestion question;
-  std::uint16_t open_record_length = 0;
-  /// Lifetime question ordinal (mirrors the batch per-viewer index).
-  std::size_t question_seq = 0;
+  core::ChoiceDecoder decoder;
   util::TimerWheel::TimerId window_timer = util::TimerWheel::kInvalidTimer;
   util::TimerWheel::TimerId idle_timer = util::TimerWheel::kInvalidTimer;
-  /// Bounded gap history (ring): enough to attribute loss to the next
-  /// override; the oldest spans fall off first.
-  std::vector<core::GapSpan> gaps;
-  std::size_t gap_head = 0;
-  std::size_t gap_count = 0;
   // Intrusive LRU by last_activity: head = oldest-idle = shed first.
   std::uint32_t lru_prev = kNilIndex;
   std::uint32_t lru_next = kNilIndex;
   bool in_use = false;
 
   [[nodiscard]] std::size_t dynamic_bytes() const {
-    return client.capacity() + gaps.capacity() * sizeof(core::GapSpan);
+    return client.capacity() + decoder.memory_bytes();
   }
 };
 
@@ -165,7 +151,7 @@ struct ContinuousMonitor::Impl {
     viewer.client = key;
     viewer.last_activity = now;
     viewer.in_use = true;
-    viewer.gaps.reserve(config.max_viewer_gaps);
+    viewer.decoder = core::ChoiceDecoder(config.max_viewer_gaps);
     index.emplace(key, slot);
     lru_push_back(slot);
     dynamic_bytes += viewer.dynamic_bytes();
@@ -250,7 +236,7 @@ struct ContinuousMonitor::Impl {
     ViewerState& viewer = arena[slot];
     // An open question still gets its answer — eviction closes the
     // evidence window early rather than swallowing the inference.
-    if (viewer.open) settle(viewer, at, 0, std::nullopt);
+    if (viewer.decoder.has_open()) settle(viewer, at, 0);
     if (viewer.idle_timer != util::TimerWheel::kInvalidTimer) {
       wheel.cancel(viewer.idle_timer);
       viewer.idle_timer = util::TimerWheel::kInvalidTimer;
@@ -260,7 +246,7 @@ struct ContinuousMonitor::Impl {
       event.client = viewer.client;
       event.reason = reason;
       event.at = at;
-      event.questions_emitted = viewer.question_seq;
+      event.questions_emitted = viewer.decoder.questions_opened();
       sink->on_viewer_evicted(event);
     }
     lru_unlink(slot);
@@ -270,102 +256,41 @@ struct ContinuousMonitor::Impl {
     viewer.in_use = false;
     viewer.client.clear();
     viewer.client.shrink_to_fit();
-    viewer.gaps = {};
+    viewer.decoder = core::ChoiceDecoder();
     viewer.lru_next = free_head;  // freelist reuses the LRU link
     free_head = slot;
   }
 
-  // --- Gap ring -------------------------------------------------------
-
-  void push_gap(ViewerState& viewer, core::GapSpan gap) {
-    if (config.max_viewer_gaps == 0) return;
-    if (viewer.gap_count < config.max_viewer_gaps) {
-      viewer.gaps.push_back(gap);
-      ++viewer.gap_count;
-    } else {
-      viewer.gaps[viewer.gap_head] = gap;
-      viewer.gap_head = (viewer.gap_head + 1) % config.max_viewer_gaps;
-    }
-  }
-
-  /// core::decode_choices' gap_between over the bounded ring: any gap
-  /// strictly after `after` (or any at all when unset) at or before
-  /// `until`.
-  [[nodiscard]] bool gap_between(const ViewerState& viewer,
-                                 std::optional<util::SimTime> after,
-                                 util::SimTime until) const {
-    for (std::size_t i = 0; i < viewer.gap_count; ++i) {
-      const core::GapSpan& gap =
-          viewer.gaps[(viewer.gap_head + i) % viewer.gaps.size()];
-      if (gap.at > until) break;  // ring is time-ordered (monotone feed)
-      if (!after || gap.at > *after) return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] bool gap_in_window(const ViewerState& viewer,
-                                   util::SimTime start,
-                                   std::optional<util::SimTime> before) const {
-    for (std::size_t i = 0; i < viewer.gap_count; ++i) {
-      const core::GapSpan& gap =
-          viewer.gaps[(viewer.gap_head + i) % viewer.gaps.size()];
-      if (before && gap.at >= *before) break;
-      if (gap.at >= start) return true;
-    }
-    return false;
-  }
-
-  static void taint(core::InferredQuestion& question, double confidence,
-                    const char* tag) {
-    question.confidence = std::min(question.confidence, confidence);
-    if (!question.evidence.empty()) question.evidence += ';';
-    question.evidence += tag;
-  }
-
   // --- Emission -------------------------------------------------------
 
-  void open_question(ViewerState& viewer, util::SimTime at,
-                     std::uint16_t record_length, bool after_gap) {
-    viewer.question = core::InferredQuestion{};
-    viewer.question.index = ++viewer.question_seq;
-    viewer.question.question_time = at;
-    if (after_gap) {
-      taint(viewer.question, config.after_gap_confidence, "type1_after_gap");
-    }
-    viewer.open = true;
-    viewer.open_record_length = record_length;
+  void question_opened(ViewerState& viewer, std::uint16_t record_length) {
+    const core::InferredQuestion& question = viewer.decoder.question();
     ++stats.questions_opened;
     obs::inc(questions_c);
     if (sink != nullptr) {
       engine::QuestionOpenedEvent event;
       event.client = viewer.client;
-      event.question = viewer.question;
+      event.question = question;
       event.record_length = record_length;
       sink->on_question_opened(event);
     }
     viewer.window_timer = wheel.reschedule(
-        viewer.window_timer, at + config.evidence_window,
+        viewer.window_timer, question.question_time + config.evidence_window,
         timer_data(static_cast<std::uint32_t>(&viewer - arena.data()),
                    TimerKind::kWindow));
   }
 
-  /// Close the open question's evidence window and emit its answer.
-  /// `next_question_at` bounds the batch post-pass' gap window when the
-  /// close was caused by a successor question; a timer/override close
-  /// considers every gap seen so far.
+  /// Close the open question's evidence window now and emit its answer.
   void settle(ViewerState& viewer, util::SimTime at,
-              std::uint16_t record_length,
-              std::optional<util::SimTime> next_question_at) {
-    assert(viewer.open);
+              std::uint16_t record_length) {
+    emit_choice(viewer, viewer.decoder.settle(), at, record_length);
+  }
+
+  void emit_choice(ViewerState& viewer, const core::InferredQuestion& question,
+                   util::SimTime at, std::uint16_t record_length) {
     if (viewer.window_timer != util::TimerWheel::kInvalidTimer) {
       wheel.cancel(viewer.window_timer);
       viewer.window_timer = util::TimerWheel::kInvalidTimer;
-    }
-    viewer.open = false;
-    core::InferredQuestion question = viewer.question;
-    if (gap_in_window(viewer, question.question_time - config.gap_window,
-                      next_question_at)) {
-      taint(question, config.gap_window_confidence, "gap_in_window");
     }
     ++stats.choices_inferred;
     obs::inc(choices_c);
@@ -388,8 +313,6 @@ struct ContinuousMonitor::Impl {
     }
   }
 
-  // --- Record decoding (the incremental decode_choices mirror) --------
-
   void on_record(std::uint32_t slot, const core::ClientRecordObservation& obs,
                  core::RecordClass cls) {
     ViewerState& viewer = arena[slot];
@@ -402,51 +325,22 @@ struct ContinuousMonitor::Impl {
           timer_data(slot, TimerKind::kViewerIdle));
     }
 
-    switch (cls) {
-      case core::RecordClass::kType1Json: {
-        if (viewer.last_type1 &&
-            obs.timestamp - *viewer.last_type1 < config.min_question_gap) {
-          break;  // retransmission artifact / band misfire
-        }
-        viewer.last_type1 = obs.timestamp;
-        viewer.last_anchor = obs.timestamp;
-        // A successor question settles its predecessor: overrides only
-        // ever attach to the most recent question.
-        if (viewer.open) settle(viewer, obs.timestamp, 0, obs.timestamp);
-        open_question(viewer, obs.timestamp, obs.record_length, obs.after_gap);
+    const core::ChoiceDecoder::Step step = viewer.decoder.add_record(obs, cls);
+    if (step.settled) emit_choice(viewer, *step.settled, obs.timestamp, 0);
+    switch (step.effect) {
+      case core::ChoiceDecoder::Effect::kNone:
         break;
-      }
-      case core::RecordClass::kType2Json: {
-        const bool hole_since_anchor =
-            gap_between(viewer, viewer.last_anchor, obs.timestamp);
-        if (hole_since_anchor || (viewer.question_seq == 0 && obs.after_gap)) {
-          // The type-1 that should anchor this override was presumably
-          // lost in the hole: synthesize the question at low
-          // confidence, exactly as the batch decoder does.
-          if (viewer.open) settle(viewer, obs.timestamp, 0, obs.timestamp);
-          viewer.last_anchor = obs.timestamp;
-          open_question(viewer, obs.timestamp, obs.record_length, false);
-          viewer.question.choice = story::Choice::kNonDefault;
-          viewer.question.override_time = obs.timestamp;
-          taint(viewer.question, config.after_gap_confidence,
-                "type2_presumed_lost_type1");
-          ++stats.questions_synthesized;
-          settle(viewer, obs.timestamp, obs.record_length, std::nullopt);
-          break;
-        }
-        if (!viewer.open) break;  // stray, or its window already closed
-        // First override wins; it also settles the window — nothing
-        // can revise this question any more.
-        viewer.question.choice = story::Choice::kNonDefault;
-        viewer.question.override_time = obs.timestamp;
-        if (obs.after_gap) {
-          taint(viewer.question, config.after_gap_confidence,
-                "type2_after_gap");
-        }
-        settle(viewer, obs.timestamp, obs.record_length, std::nullopt);
+      case core::ChoiceDecoder::Effect::kOpened:
+        question_opened(viewer, obs.record_length);
         break;
-      }
-      case core::RecordClass::kOther:
+      case core::ChoiceDecoder::Effect::kSynthesized:
+        ++stats.questions_synthesized;
+        question_opened(viewer, obs.record_length);
+        settle(viewer, obs.timestamp, obs.record_length);
+        break;
+      case core::ChoiceDecoder::Effect::kOverridden:
+        // The first override is final: nothing can revise it any more.
+        settle(viewer, obs.timestamp, obs.record_length);
         break;
     }
   }
@@ -461,7 +355,7 @@ struct ContinuousMonitor::Impl {
       const std::uint32_t slot = viewer_of(key, gap.timestamp);
       ViewerState& viewer = arena[slot];
       const core::GapSpan span{gap.timestamp, gap.length};
-      push_gap(viewer, span);
+      viewer.decoder.add_gap(span);
       ++stats.gaps_observed;
       obs::inc(gaps_c);
       if (sink != nullptr) {
@@ -506,7 +400,7 @@ struct ContinuousMonitor::Impl {
     if (kind == TimerKind::kWindow) {
       if (viewer.window_timer != id) return;  // rearmed since; stale fire
       viewer.window_timer = util::TimerWheel::kInvalidTimer;
-      if (viewer.open) settle(viewer, deadline, 0, std::nullopt);
+      if (viewer.decoder.has_open()) settle(viewer, deadline, 0);
       return;
     }
     // Viewer idle.

@@ -1,9 +1,16 @@
-// Choice decoding and path reconstruction, plus evaluation scoring.
+// Choice decoding (the incremental ChoiceDecoder and the batch decode over it,
+// checked against a frozen reference), path reconstruction, and
+// evaluation scoring.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "wm/core/decoder.hpp"
 #include "wm/core/eval.hpp"
 #include "wm/story/bandersnatch.hpp"
+#include "wm/util/rng.hpp"
 
 namespace wm::core {
 namespace {
@@ -173,21 +180,248 @@ TEST(Decoder, GapInsideQuestionWindowCapsConfidence) {
 }
 
 TEST(Decoder, DefaultOptionsReproduceHistoricalDecode) {
-  // With no gaps and no after_gap taints the gap-aware overload must
-  // be byte-equivalent to the historical min_question_gap entry point.
+  // No gaps, no after_gap taints: the plain §III rule at full strength,
+  // with the 60ms retransmitted type-1 suppressed.
   FixedClassifier clf;
-  const std::vector<ClientRecordObservation> observations = {
-      obs(1.0, 2212), obs(1.06, 2212), obs(2.0, 3000),
-      obs(5.0, 2212), obs(9.0, 2212),  obs(9.5, 3000)};
-  const auto historical =
-      decode_choices(clf, observations, util::Duration::millis(120));
-  const auto gap_aware = decode_choices(clf, observations, DecodeOptions{});
-  ASSERT_EQ(historical.questions.size(), gap_aware.questions.size());
-  for (std::size_t i = 0; i < historical.questions.size(); ++i) {
-    EXPECT_EQ(historical.questions[i].choice, gap_aware.questions[i].choice);
-    EXPECT_EQ(historical.questions[i].question_time,
-              gap_aware.questions[i].question_time);
-    EXPECT_DOUBLE_EQ(gap_aware.questions[i].confidence, 1.0);
+  const auto result = decode_choices(
+      clf, {obs(1.0, 2212), obs(1.06, 2212), obs(2.0, 3000), obs(5.0, 2212),
+            obs(9.0, 2212), obs(9.5, 3000)});
+  const std::vector<story::Choice> expected = {story::Choice::kNonDefault,
+                                               story::Choice::kDefault,
+                                               story::Choice::kNonDefault};
+  EXPECT_EQ(result.choices(), expected);
+  ASSERT_EQ(result.questions.size(), 3u);
+  const double question_times[] = {1.0, 5.0, 9.0};
+  for (std::size_t i = 0; i < result.questions.size(); ++i) {
+    const InferredQuestion& q = result.questions[i];
+    EXPECT_EQ(q.index, i + 1);
+    EXPECT_EQ(q.question_time, util::SimTime::from_seconds(question_times[i]));
+    EXPECT_DOUBLE_EQ(q.confidence, 1.0);
+    EXPECT_TRUE(q.evidence.empty());
+  }
+  EXPECT_EQ(result.questions[0].override_time, util::SimTime::from_seconds(2.0));
+  EXPECT_EQ(result.questions[2].override_time, util::SimTime::from_seconds(9.5));
+  EXPECT_EQ(result.type1_records, 4u);
+  EXPECT_EQ(result.type2_records, 2u);
+}
+
+// --- ChoiceDecoder ------------------------------------------------------
+
+TEST(ChoiceDecoder, OutOfOrderGapsStillAttributeTheOverride) {
+  // An end-of-capture flush emits gaps flow by flow, so the ring can
+  // hold a later CDN hole before an earlier API hole. The 90s hole lies
+  // between the 80s anchor and the 90s type-2 even though a 100s gap
+  // was recorded first: the override must synthesize a question.
+  ChoiceDecoder decoder(16);
+  EXPECT_EQ(decoder.add_record(obs(80.0, 2212), RecordClass::kType1Json).effect,
+            ChoiceDecoder::Effect::kOpened);
+  decoder.add_gap(gap_at(100.0, 4000));
+  decoder.add_gap(gap_at(90.0, 1400));
+  const ChoiceDecoder::Step step =
+      decoder.add_record(obs(90.0, 3000), RecordClass::kType2Json);
+  EXPECT_EQ(step.effect, ChoiceDecoder::Effect::kSynthesized);
+  ASSERT_TRUE(step.settled.has_value());
+  EXPECT_EQ(step.settled->choice, story::Choice::kDefault);
+  EXPECT_DOUBLE_EQ(step.settled->confidence, 1.0);
+
+  const InferredQuestion synthesized = decoder.settle();
+  EXPECT_EQ(synthesized.index, 2u);
+  EXPECT_EQ(synthesized.choice, story::Choice::kNonDefault);
+  EXPECT_DOUBLE_EQ(synthesized.confidence, kAfterGapConfidence);
+  EXPECT_EQ(synthesized.evidence, "type2_presumed_lost_type1;gap_in_window");
+
+  // The batch decode, handed the same gaps unsorted, agrees.
+  DecodeOptions options;
+  options.gaps = {gap_at(100.0, 4000), gap_at(90.0, 1400)};
+  FixedClassifier clf;
+  const auto batch = decode_choices(clf, {obs(80.0, 2212), obs(90.0, 3000)}, options);
+  ASSERT_EQ(batch.questions.size(), 2u);
+  EXPECT_EQ(batch.questions[1].choice, story::Choice::kNonDefault);
+  EXPECT_EQ(batch.questions[1].evidence, synthesized.evidence);
+}
+
+TEST(ChoiceDecoder, GapRingWrapDropsTheEarliestGap) {
+  ChoiceDecoder decoder(2);
+  (void)decoder.add_record(obs(0.0, 2212), RecordClass::kType1Json);
+  decoder.add_gap(gap_at(1.0, 100));
+  decoder.add_gap(gap_at(2.0, 100));
+  decoder.add_gap(gap_at(3.0, 100));  // wraps: the 1.0s gap falls off
+  EXPECT_EQ(decoder.memory_bytes(), 2 * sizeof(GapSpan));
+
+  // Only the dropped 1.0s gap lay before this override: it is credited.
+  EXPECT_EQ(decoder.add_record(obs(1.5, 3000), RecordClass::kType2Json).effect,
+            ChoiceDecoder::Effect::kOverridden);
+  // The retained 2.0s gap still attributes a later orphan override, and
+  // caps the predecessor it settles.
+  const ChoiceDecoder::Step step =
+      decoder.add_record(obs(2.5, 3000), RecordClass::kType2Json);
+  EXPECT_EQ(step.effect, ChoiceDecoder::Effect::kSynthesized);
+  ASSERT_TRUE(step.settled.has_value());
+  EXPECT_EQ(step.settled->choice, story::Choice::kNonDefault);
+  EXPECT_EQ(step.settled->evidence, "gap_in_window");
+  EXPECT_EQ(decoder.settle().evidence, "type2_presumed_lost_type1;gap_in_window");
+}
+
+TEST(ChoiceDecoder, ZeroGapCapacityKeepsNoHistory) {
+  ChoiceDecoder decoder(0);
+  (void)decoder.add_record(obs(0.0, 2212), RecordClass::kType1Json);
+  decoder.add_gap(gap_at(1.0, 100));
+  EXPECT_EQ(decoder.memory_bytes(), 0u);
+  EXPECT_EQ(decoder.add_record(obs(1.5, 3000), RecordClass::kType2Json).effect,
+            ChoiceDecoder::Effect::kOverridden);
+  const InferredQuestion question = decoder.settle();
+  EXPECT_DOUBLE_EQ(question.confidence, 1.0);
+  EXPECT_TRUE(question.evidence.empty());
+  EXPECT_FALSE(decoder.has_open());
+}
+
+// --- batch differential -------------------------------------------------
+
+/// The batch decoder as it stood before ChoiceDecoder, frozen as a
+/// reference oracle: one loop over the observations, then a post-pass
+/// for the gap_in_window taint.
+InferredSession reference_decode(
+    const RecordClassifier& classifier,
+    const std::vector<ClientRecordObservation>& observations,
+    std::vector<GapSpan> gaps) {
+  const auto taint = [](InferredQuestion& question, double confidence,
+                        const char* tag) {
+    question.confidence = std::min(question.confidence, confidence);
+    if (!question.evidence.empty()) question.evidence += ';';
+    question.evidence += tag;
+  };
+  const auto gap_between = [&gaps](std::optional<util::SimTime> after,
+                                   util::SimTime until) {
+    for (const GapSpan& gap : gaps) {
+      if (gap.at > until) break;
+      if (!after || gap.at > *after) return true;
+    }
+    return false;
+  };
+  InferredSession out;
+  std::sort(gaps.begin(), gaps.end(), [](const GapSpan& a, const GapSpan& b) {
+    if (a.at != b.at) return a.at < b.at;
+    return a.bytes < b.bytes;
+  });
+  std::optional<util::SimTime> last_type1;
+  std::optional<util::SimTime> last_anchor;
+  for (const ClientRecordObservation& o : observations) {
+    switch (classifier.classify(o.record_length)) {
+      case RecordClass::kType1Json: {
+        ++out.type1_records;
+        if (last_type1 && o.timestamp - *last_type1 < util::Duration::millis(120)) {
+          break;
+        }
+        last_type1 = o.timestamp;
+        last_anchor = o.timestamp;
+        InferredQuestion question;
+        question.index = out.questions.size() + 1;
+        question.question_time = o.timestamp;
+        if (o.after_gap) taint(question, 0.5, "type1_after_gap");
+        out.questions.push_back(std::move(question));
+        break;
+      }
+      case RecordClass::kType2Json: {
+        ++out.type2_records;
+        if (gap_between(last_anchor, o.timestamp) ||
+            (out.questions.empty() && o.after_gap)) {
+          InferredQuestion question;
+          question.index = out.questions.size() + 1;
+          question.question_time = o.timestamp;
+          question.choice = story::Choice::kNonDefault;
+          question.override_time = o.timestamp;
+          taint(question, 0.5, "type2_presumed_lost_type1");
+          out.questions.push_back(std::move(question));
+          last_anchor = o.timestamp;
+          break;
+        }
+        if (out.questions.empty()) break;
+        InferredQuestion& current = out.questions.back();
+        if (current.choice == story::Choice::kDefault) {
+          current.choice = story::Choice::kNonDefault;
+          current.override_time = o.timestamp;
+          if (o.after_gap) taint(current, 0.5, "type2_after_gap");
+        }
+        break;
+      }
+      case RecordClass::kOther:
+        ++out.other_records;
+        break;
+    }
+  }
+  for (std::size_t i = 0; i < out.questions.size(); ++i) {
+    InferredQuestion& question = out.questions[i];
+    const util::SimTime start = question.question_time - util::Duration::seconds(1);
+    for (const GapSpan& gap : gaps) {
+      if (gap.at < start) continue;
+      if (i + 1 < out.questions.size() &&
+          gap.at >= out.questions[i + 1].question_time) {
+        break;
+      }
+      taint(question, 0.6, "gap_in_window");
+      break;
+    }
+  }
+  return out;
+}
+
+TEST(Decoder, BatchDecodeMatchesFrozenReferenceOnRandomSequences) {
+  FixedClassifier clf;
+  const std::uint16_t lengths[] = {2212, 3000, 404};
+  for (std::uint64_t seed = 1; seed <= 4000; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    std::vector<ClientRecordObservation> observations;
+    std::int64_t t = rng.uniform_int(0, 2'000'000'000);
+    const std::size_t count = rng.next_below(40);
+    for (std::size_t i = 0; i < count; ++i) {
+      // Same instant, inside / at / just past the 120ms duplicate
+      // window, or well apart.
+      switch (rng.next_below(5)) {
+        case 0: break;
+        case 1: t += rng.uniform_int(1, 119'999'999); break;
+        case 2: t += 120'000'000; break;
+        case 3: t += 120'000'001; break;
+        default: t += rng.uniform_int(200'000'000, 3'000'000'000); break;
+      }
+      ClientRecordObservation o;
+      o.timestamp = util::SimTime::from_nanos(t);
+      o.record_length = lengths[rng.next_below(3)];
+      o.after_gap = rng.bernoulli(0.15);
+      observations.push_back(o);
+    }
+    // Gaps land exactly on observation instants or anywhere nearby, and
+    // are handed over in shuffled order.
+    std::vector<GapSpan> gaps;
+    const std::size_t gap_count = rng.next_below(6);
+    for (std::size_t i = 0; i < gap_count; ++i) {
+      GapSpan gap;
+      gap.bytes = rng.next_below(5000);
+      gap.at = !observations.empty() && rng.bernoulli(0.5)
+                   ? observations[rng.next_below(observations.size())].timestamp
+                   : util::SimTime::from_nanos(rng.uniform_int(0, t + 2'000'000'000));
+      gaps.push_back(gap);
+    }
+    rng.shuffle(gaps);
+
+    DecodeOptions options;
+    options.gaps = gaps;
+    const InferredSession got = decode_choices(clf, observations, options);
+    const InferredSession want = reference_decode(clf, observations, gaps);
+    ASSERT_EQ(got.questions.size(), want.questions.size());
+    for (std::size_t i = 0; i < want.questions.size(); ++i) {
+      SCOPED_TRACE("Q" + std::to_string(i));
+      EXPECT_EQ(got.questions[i].index, want.questions[i].index);
+      EXPECT_EQ(got.questions[i].question_time, want.questions[i].question_time);
+      EXPECT_EQ(got.questions[i].choice, want.questions[i].choice);
+      EXPECT_EQ(got.questions[i].override_time, want.questions[i].override_time);
+      EXPECT_EQ(got.questions[i].confidence, want.questions[i].confidence);
+      EXPECT_EQ(got.questions[i].evidence, want.questions[i].evidence);
+    }
+    EXPECT_EQ(got.type1_records, want.type1_records);
+    EXPECT_EQ(got.type2_records, want.type2_records);
+    EXPECT_EQ(got.other_records, want.other_records);
+    if (HasFailure()) break;
   }
 }
 

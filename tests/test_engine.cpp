@@ -10,7 +10,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -169,48 +168,30 @@ TEST(Engine, InterleavedViewersSeparateCorrectly) {
   EXPECT_GT(report.stats.type1_records, 0u);
 }
 
-TEST(Engine, SinkStreamsPerViewerUpdates) {
-  const story::StoryGraph graph = story::make_bandersnatch();
-  const AttackPipeline pipeline = calibrated_pipeline(graph);
-  const MergedCapture merged = make_merged_capture(graph, 2);
-
-  std::mutex mutex;
-  std::map<std::string, std::vector<engine::ViewerUpdate>> updates;
-  InferOptions options;
-  options.shards = 2;
-  options.per_client = true;
-  engine::CallbackSink sink([&](const engine::ViewerUpdate& update) {
-    const std::lock_guard<std::mutex> lock(mutex);
-    updates[update.client].push_back(update);
-  });
-  options.sink = &sink;
-
-  engine::VectorSource source(&merged.packets);
-  const InferReport report = pipeline.infer(source, options);
-
-  ASSERT_EQ(updates.size(), 2u);
-  for (const auto& [client, client_updates] : updates) {
-    ASSERT_FALSE(client_updates.empty());
-    // Updates accumulate monotonically toward the final session.
-    ASSERT_TRUE(report.per_client.count(client));
-    const auto& final_session = report.per_client.at(client);
-    const auto& last = client_updates.back().session;
-    EXPECT_EQ(last.questions.size(), final_session.questions.size()) << client;
-    EXPECT_EQ(last.type1_records, final_session.type1_records) << client;
-    EXPECT_EQ(last.type2_records, final_session.type2_records) << client;
-    for (const auto& update : client_updates) {
-      EXPECT_EQ(update.client, client);
-      EXPECT_NE(update.record_class, RecordClass::kOther);
-    }
+/// Delegates to a fitted classifier but naps on every call: workers
+/// classify each client record, so they fall far behind the dispatcher.
+class SlowClassifier final : public RecordClassifier {
+ public:
+  explicit SlowClassifier(const RecordClassifier& inner) : inner_(inner) {}
+  void fit(const std::vector<LabeledObservation>&) override {}
+  [[nodiscard]] RecordClass classify(std::uint16_t record_length) const override {
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    return inner_.classify(record_length);
   }
-}
+  [[nodiscard]] std::string name() const override { return "slow"; }
+  [[nodiscard]] bool fitted() const override { return true; }
+
+ private:
+  const RecordClassifier& inner_;
+};
 
 TEST(Engine, SlowConsumerBackpressureLosesNothing) {
   // A deliberately starved configuration: tiny rings, tiny batches, and
-  // a sink that naps on every record so the workers fall far behind the
-  // dispatcher. The dispatcher must park at queue_capacity (counted as
-  // backpressure), and despite all that blocking the result must be
-  // byte-identical to the batch decode — no batch lost or reordered.
+  // a classifier that naps on every record so the workers fall far
+  // behind the dispatcher. The dispatcher must park at queue_capacity
+  // (counted as backpressure), and despite all that blocking the result
+  // must be byte-identical to the batch decode — no batch lost or
+  // reordered.
   const story::StoryGraph graph = story::make_bandersnatch();
   const AttackPipeline pipeline = calibrated_pipeline(graph);
   const MergedCapture merged = make_merged_capture(graph, 2);
@@ -222,10 +203,8 @@ TEST(Engine, SlowConsumerBackpressureLosesNothing) {
   config.shards = 2;
   config.dispatch_batch = 8;
   config.queue_capacity = 1;  // rounds up to the 2-slot ring minimum
-  engine::CallbackSink sink([](const engine::ViewerUpdate&) {
-    std::this_thread::sleep_for(std::chrono::microseconds(300));
-  });
-  engine::ShardedFlowEngine engine(pipeline.classifier(), config, &sink);
+  const SlowClassifier slow(pipeline.classifier());
+  engine::ShardedFlowEngine engine(slow, config);
   engine::VectorSource source(&merged.packets);
   EXPECT_EQ(engine.consume(source), merged.packets.size());
   const engine::EngineResult result = engine.finish();

@@ -191,7 +191,7 @@ TEST(MmapCapture, SnaplenTrimmedRecordsKeepOriginalLength) {
 }
 
 TEST(MmapCapture, FilesLargerThanOneSlabRoundTripBothFormats) {
-  // Well past the 64 KiB BufferPool slab / any staging buffer size, so
+  // Well past a 64 KiB slab / any staging buffer size, so
   // every internal buffer must have been recycled many times over.
   const auto dir = fs::temp_directory_path();
   const auto packets = synthetic_packets(400, 1400);  // ~560 KiB payload

@@ -352,13 +352,12 @@ class Linter {
   }
 
   /// The hot-path file set, shared by the mutex and atomic-order
-  /// rules: the per-packet pipeline (engine, rings, pools) plus the
+  /// rules: the per-packet pipeline (engine, rings) plus the
   /// surfaces its threads touch per event (fleet merge, metrics, log
   /// gate), plus anything tagged `wm-lint: hot-path`.
   [[nodiscard]] bool hot_path(const std::string& path) const {
     return scan_.hot_path_tag || path_contains(path, "core/engine/") ||
            path_contains(path, "util/spsc_ring") ||
-           path_contains(path, "util/buffer_pool") ||
            path_contains(path, "obs/metrics") ||
            path_contains(path, "monitor/fleet") ||
            path_contains(path, "util/log");

@@ -2,7 +2,7 @@
 //
 // The attack pipeline parses fully attacker-controlled bytes (pcap /
 // pcapng framing, TLS records, state-JSON heuristics), and the zero-copy
-// ingestion layer hands borrowed PacketViews and pooled buffers across
+// ingestion layer hands borrowed PacketViews and recycled batches across
 // threads. The safety rules that make that sound — who may store a
 // borrowed view, which casts are allowed on capture bytes, which files
 // may take a lock — were prose in DESIGN.md; this linter turns them into
@@ -22,7 +22,7 @@
 //   stability  every obs metric registration names its Stability class
 //              explicitly (src/ and include/ only).
 //   mutex      no std::mutex declarations in hot-path files (engine /
-//              spsc_ring / buffer_pool) outside suppressed sites.
+//              spsc_ring) outside suppressed sites.
 //   suppression malformed (reason-less) or unused allow() comments.
 //
 // Suppressions: `// wm-lint: allow(<rule>): <reason>` on the offending
