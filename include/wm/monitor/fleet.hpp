@@ -12,13 +12,20 @@
 // one subscriber address lands on one shard. Each shard worker owns a
 // full private ContinuousMonitor (its own TimerWheel, flow/viewer
 // state, LRU arena): no locks on the inference path, no shared state
-// between shards.
+// between shards. Workers feed each drained run through
+// ContinuousMonitor::feed_batch and send the packets' buffers back to
+// their pump over a twin return ring, so once warm the data plane
+// allocates nothing per packet (FleetStats::buffers_allocated).
 //
 // ORDERING. A shard's wheel is shared by its viewers, so the worker
 // must feed it in (approximately) capture-time order even when packets
 // arrive over M independent rings. The worker runs a K-way timestamp
 // merge with per-ring low-bound watermarks: a packet is fed once no
-// open ring could still deliver an earlier one. Sources are assumed
+// open ring could still deliver an earlier one. Each pump publishes,
+// per ring, the timestamp of the next packet it has yet to push there,
+// and a pump whose rings are full parks on the ring whose next packet
+// is its oldest; so full rings never leave workers waiting on each
+// other in a cycle. Sources are assumed
 // time-ordered individually (captures and taps are); a ring that stays
 // silent longer than `merge_wait` is set aside (counted in
 // FleetStats::merge_deferrals) rather than stalling the shard, and
@@ -61,7 +68,14 @@ struct FleetConfig {
   std::size_t sources = 1;
   /// Per-(source, shard) ring capacity in packets (rounded up to a
   /// power of two). Full rings park the pump — backpressure, not loss.
-  std::size_t ring_capacity = 4096;
+  /// Each ring has a twin running back from the shard to the pump that
+  /// carries fed packets' buffers home for reuse, so a source keeps at
+  /// most about shards × 2 × (ring_capacity + batch) packet buffers
+  /// alive, however long it runs. A full ring is resident memory (a
+  /// slot holds a frame, up to ~1.5 KB), and a pump that reuses buffers
+  /// outruns a shard on one viewer's burst, so the default is four
+  /// batches deep: enough slack that the pump rarely parks.
+  std::size_t ring_capacity = 1024;
   /// Batch size for source reads, ring pushes and ring drains.
   std::size_t batch = 256;
   /// How long a shard worker holds a timestamp-merge barrier open for
@@ -98,6 +112,10 @@ struct FleetStats {
   std::uint64_t merge_deferrals = 0;
   /// Times a pump found a shard ring full and had to park.
   std::uint64_t backpressure_waits = 0;
+  /// Packet buffers the pumps had to take fresh because no returned
+  /// buffer was waiting. Grows while the data plane warms up, then
+  /// stays flat: steady-state reads reuse returned buffers.
+  std::uint64_t buffers_allocated = 0;
 
   [[nodiscard]] std::string to_string() const;
 };

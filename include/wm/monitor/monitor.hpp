@@ -16,7 +16,8 @@
 //     replayed at any speed reproduces every decision exactly.
 //
 // ContinuousMonitor is the single-threaded composition of those parts:
-// one TLS record-stream extractor, one hierarchical timer wheel
+// one TLS record-stream extractor fed slab-decoded frames (the batch
+// engine's decoder), one hierarchical timer wheel
 // (flow-idle sweeps, viewer-idle eviction, per-question evidence
 // windows), and one core::ChoiceDecoder per viewer — the same
 // incremental decoder core::decode_choices drives over a whole log; the
@@ -132,13 +133,22 @@ class ContinuousMonitor {
   ContinuousMonitor(const ContinuousMonitor&) = delete;
   ContinuousMonitor& operator=(const ContinuousMonitor&) = delete;
 
-  /// Offer one packet. Timers with deadlines at or before the packet's
-  /// timestamp fire first (evidence windows close, idle state leaves),
-  /// then the packet is analyzed — capture-time order is the only
-  /// order that exists.
+  /// Offer one packet: feed_batch(&packet, 1).
   void feed(const net::Packet& packet);
 
-  /// Pull `source` to exhaustion via read_batch(). Returns packets fed.
+  /// Offer `count` packets in capture order. The frames are decoded
+  /// slab-wise (net::decode_slab, 256 per pass), then each packet in
+  /// turn is handled exactly as a lone packet would be: timers with
+  /// deadlines at or before its timestamp fire first (evidence windows
+  /// close, idle state leaves), then it is analyzed and its events
+  /// leave before the next packet is looked at. So any chunking of a
+  /// stream — per packet or in runs of any length — emits the same
+  /// events with the same `at`, and no answer waits for the rest of its
+  /// batch. The packets need only live through the call.
+  void feed_batch(const net::Packet* packets, std::size_t count);
+
+  /// Pull `source` to exhaustion via read_batch(), feeding each batch
+  /// through feed_batch(). Returns packets fed.
   std::size_t consume(engine::PacketSource& source);
 
   /// Advance simulated time without traffic: fire every timer due at or

@@ -150,6 +150,16 @@ class RecordStreamExtractor {
   void feed_batch(const net::PacketView* packets, std::size_t count,
                   std::vector<StreamEvent>& out, bool stable_payload);
 
+  /// The per-packet step behind feed_batch(): process one frame whose
+  /// slab lens the caller already decoded (net::decode_slab), appending
+  /// completed records and gaps to `out`. `frame` is the raw frame the
+  /// lens' offsets index into; `stable_payload` is feed_batch's
+  /// lifetime contract. Lets a caller interleave its own per-packet
+  /// work (timers) between the packets of one slab.
+  void feed_lens(util::SimTime timestamp, util::BytesView frame,
+                 const net::PacketLens& lens, bool stable_payload,
+                 std::vector<StreamEvent>& out);
+
   /// Historic entry point: feed() with the results dropped (they are
   /// still retained for finish() when Config::retain_events is on).
   void add_packet(const net::Packet& packet) { feed(packet); }
@@ -243,11 +253,6 @@ class RecordStreamExtractor {
                 std::uint32_t sequence, util::BytesView payload,
                 std::size_t truncated_bytes, bool stable_payload,
                 std::vector<StreamEvent>& out);
-  /// Per-packet processing of one slab lens (decode already done);
-  /// `frame` is the raw frame the lens' offsets index into.
-  void feed_lens(util::SimTime timestamp, util::BytesView frame,
-                 const net::PacketLens& lens, bool stable_payload,
-                 std::vector<StreamEvent>& out);
   /// Buffer-everything fallback of feed_tcp for segments the in-order
   /// fast path rejects (SYN/FIN/RST, truncation, reorder, retransmit).
   void feed_tcp_slow(FlowMap::iterator it, net::FlowDirection direction,

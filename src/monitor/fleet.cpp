@@ -35,7 +35,8 @@ std::string FleetStats::to_string() const {
   out << "shards=" << shards.size() << " packets=" << packets
       << " unroutable=" << packets_unroutable
       << " merge_deferrals=" << merge_deferrals
-      << " backpressure_waits=" << backpressure_waits << " | "
+      << " backpressure_waits=" << backpressure_waits
+      << " buffers_allocated=" << buffers_allocated << " | "
       << totals.to_string();
   return out.str();
 }
@@ -252,10 +253,29 @@ std::size_t OrderingCollector::pending() const {
 // --- MonitorFleet ---------------------------------------------------------
 
 struct MonitorFleet::Impl {
-  /// Worker-side view of one (source, shard) ring: a staged batch plus
-  /// the lower bound on what the source can still deliver.
+  /// One (source, shard) pair: the ring carrying packets from the
+  /// source's pump to the shard's worker, its twin carrying the fed
+  /// packets' buffers back for reuse, and the pump's floor. Each ring
+  /// keeps exactly one producer and one consumer.
+  struct Link {
+    /// Between two of its pump's reclaims a worker hands back at most a
+    /// full packet ring, its staged batch and the one batch the pump
+    /// pushes meanwhile; sized for that, the buffer ring never makes a
+    /// worker free a buffer.
+    Link(std::size_t capacity, std::size_t batch)
+        : packets(capacity), buffers(packets.capacity() + 2 * batch) {}
+    util::SpscRing<net::Packet> packets;  // pump -> worker
+    util::SpscRing<util::Bytes> buffers;  // worker -> pump
+    /// The pump's promise (nanos): no packet older than this is still
+    /// to be pushed here. Stored after the pushes it covers, so a
+    /// worker that loads it before popping also sees those packets.
+    std::atomic<std::int64_t> floor{kNoTime};
+  };
+
+  /// Worker-side view of one link: a staged batch plus the lower bound
+  /// on what the source can still deliver.
   struct Lane {
-    util::SpscRing<net::Packet>* ring = nullptr;
+    Link* link = nullptr;
     std::vector<net::Packet> staged;
     std::size_t head = 0;
     std::size_t count = 0;
@@ -297,12 +317,11 @@ struct MonitorFleet::Impl {
           config.shards, *sink_in, config.monitor.wheel.tick);
     }
 
-    rings.resize(config.sources);
-    for (auto& row : rings) {
+    links.resize(config.sources);
+    for (auto& row : links) {
       row.reserve(config.shards);
       for (std::size_t d = 0; d < config.shards; ++d) {
-        row.push_back(
-            std::make_unique<util::SpscRing<net::Packet>>(config.ring_capacity));
+        row.push_back(std::make_unique<Link>(config.ring_capacity, config.batch));
       }
     }
 
@@ -344,14 +363,46 @@ struct MonitorFleet::Impl {
 
   // --- pump (one per source) --------------------------------------------
 
+  /// A pump's spare packet buffers: what the shard workers handed back,
+  /// reused before anything is allocated.
+  struct Freelist {
+    std::vector<util::Bytes> spare;
+    std::uint64_t allocated = 0;
+
+    /// Move every buffer the workers have returned so far into `spare`.
+    void reclaim(const std::vector<std::unique_ptr<Link>>& row) {
+      for (const auto& link : row) {
+        const std::size_t ready = link->buffers.size_approx();
+        if (ready == 0) continue;
+        const std::size_t have = spare.size();
+        spare.resize(have + ready);
+        spare.resize(have + link->buffers.try_pop_n(spare.data() + have, ready));
+      }
+    }
+
+    /// A recycled buffer, or an empty one (counted) when none is left.
+    util::Bytes take() {
+      if (spare.empty()) {
+        ++allocated;
+        return {};
+      }
+      util::Bytes buffer = std::move(spare.back());
+      spare.pop_back();
+      return buffer;
+    }
+  };
+
   std::size_t pump(engine::PacketSource& source, std::size_t slot) {
     engine::PacketBatch batch;
     std::vector<std::vector<net::Packet>> staging(config.shards);
+    std::vector<std::size_t> sent(config.shards);
+    Freelist freelist;
     std::size_t routed = 0;
     std::uint64_t local_unroutable = 0;
     std::uint64_t local_backpressure = 0;
 
     for (;;) {
+      freelist.reclaim(links[slot]);
       const std::size_t got = source.read_batch(batch, config.batch);
       if (got == 0) break;
       net::Packet* slots = batch.mutable_slots();
@@ -364,38 +415,84 @@ struct MonitorFleet::Impl {
           ++local_unroutable;  // unparseable frames all ride shard 0
         }
         if (slots != nullptr) {
+          // The emptied slot takes a recycled buffer, so the source's
+          // next read copies into capacity it already has.
           staging[shard].push_back(std::move(slots[i]));
+          slots[i].data = freelist.take();
         } else {
-          staging[shard].push_back(batch[i]);  // borrowed batch: copy
+          // Borrowed batch: copy into a recycled buffer.
+          const net::Packet& packet = batch[i];
+          net::Packet& copy = staging[shard].emplace_back();
+          copy.timestamp = packet.timestamp;
+          copy.original_length = packet.original_length;
+          copy.data = freelist.take();
+          copy.data.assign(packet.data.begin(), packet.data.end());
         }
       }
       routed += got;
-      bool aborted = false;
-      for (std::size_t d = 0; d < config.shards; ++d) {
-        std::vector<net::Packet>& out = staging[d];
-        if (out.empty()) continue;
-        util::SpscRing<net::Packet>& ring = *rings[slot][d];
-        const std::size_t want = out.size();
-        std::size_t done = ring.try_push_n(out.data(), want);
-        if (done < want) {
-          ++local_backpressure;
-          done += ring.push_n(out.data() + done, want - done);
-        }
-        out.clear();
-        if (done < want) {  // ring closed under us: fleet is aborting
-          aborted = true;
-          break;
-        }
-      }
-      if (aborted) break;
+      const std::int64_t newest = batch[got - 1].timestamp.nanos();
+      if (!push_routed(slot, staging, sent, newest, local_backpressure)) break;
     }
 
-    for (std::size_t d = 0; d < config.shards; ++d) rings[slot][d]->close();
+    for (const auto& link : links[slot]) link->packets.close();
     packets.fetch_add(routed, std::memory_order_relaxed);
+    buffers_allocated.fetch_add(freelist.allocated, std::memory_order_relaxed);
     unroutable.fetch_add(local_unroutable, std::memory_order_relaxed);
     backpressure.fetch_add(local_backpressure, std::memory_order_relaxed);
     sources_done.fetch_add(1, std::memory_order_release);
     return routed;
+  }
+
+  /// Push one routed batch into the source's links. `newest` is the
+  /// batch's last timestamp: a floor for everything the source has not
+  /// read yet. When rings are full the pump parks on the link whose
+  /// next packet is the oldest one unsent, and each link's floor is the
+  /// timestamp of its own next unsent packet. So a parked pump holds
+  /// back nothing older than what the worker it waits on already has
+  /// staged, and merging workers can never wait on each other in a
+  /// cycle. Returns false when a ring closed under the pump (the fleet
+  /// is aborting).
+  bool push_routed(std::size_t slot, std::vector<std::vector<net::Packet>>& staging,
+                   std::vector<std::size_t>& sent, std::int64_t newest,
+                   std::uint64_t& waits) {
+    const auto& row = links[slot];
+    const auto publish_floor = [&](std::size_t d) {
+      const std::vector<net::Packet>& out = staging[d];
+      row[d]->floor.store(
+          sent[d] < out.size() ? out[sent[d]].timestamp.nanos() : newest,
+          std::memory_order_release);
+    };
+    for (std::size_t d = 0; d < config.shards; ++d) {
+      sent[d] = 0;
+      publish_floor(d);
+    }
+    for (;;) {
+      std::size_t oldest = config.shards;
+      std::int64_t oldest_nanos = std::numeric_limits<std::int64_t>::max();
+      for (std::size_t d = 0; d < config.shards; ++d) {
+        std::vector<net::Packet>& out = staging[d];
+        if (sent[d] == out.size()) continue;
+        const std::size_t pushed =
+            row[d]->packets.try_push_n(out.data() + sent[d], out.size() - sent[d]);
+        if (pushed > 0) {
+          sent[d] += pushed;
+          publish_floor(d);
+        }
+        if (sent[d] < out.size() && out[sent[d]].timestamp.nanos() < oldest_nanos) {
+          oldest = d;
+          oldest_nanos = out[sent[d]].timestamp.nanos();
+        }
+      }
+      if (oldest == config.shards) break;
+      ++waits;
+      if (row[oldest]->packets.push_n(staging[oldest].data() + sent[oldest], 1) == 0) {
+        return false;
+      }
+      ++sent[oldest];
+      publish_floor(oldest);
+    }
+    for (std::vector<net::Packet>& out : staging) out.clear();
+    return true;
   }
 
   // --- worker (one per shard) -------------------------------------------
@@ -409,9 +506,22 @@ struct MonitorFleet::Impl {
     publish_gauges(shard);
   }
 
-  void feed_one(Shard& state, const net::Packet& packet) {
-    state.monitor->feed(packet);
-    state.max_fed = std::max(state.max_fed, packet.timestamp.nanos());
+  static void feed_run(Shard& state, const net::Packet* run, std::size_t count) {
+    state.monitor->feed_batch(run, count);
+    for (std::size_t i = 0; i < count; ++i) {
+      state.max_fed = std::max(state.max_fed, run[i].timestamp.nanos());
+    }
+  }
+
+  /// Hand the buffers of `count` fed packets back to their pump.
+  /// Whatever the return ring cannot take right now is freed, so the
+  /// worker never waits on the pump. `scratch` holds at least `count`
+  /// (empty) buffers.
+  static void give_back(util::SpscRing<util::Bytes>& back, net::Packet* fed,
+                        std::size_t count, std::vector<util::Bytes>& scratch) {
+    for (std::size_t i = 0; i < count; ++i) scratch[i].swap(fed[i].data);
+    const std::size_t kept = back.try_push_n(scratch.data(), count);
+    for (std::size_t i = kept; i < count; ++i) util::Bytes().swap(scratch[i]);
   }
 
   void publish_gauges(std::size_t shard) {
@@ -424,36 +534,46 @@ struct MonitorFleet::Impl {
 
   /// One source: no merge needed — a plain blocking pop for the first
   /// packet, then batch drains, exactly like InjectableTap's consumer.
+  /// Each drain is fed as one run, then its buffers go home.
   void single_source_loop(std::size_t shard) {
     Shard& state = shards[shard];
-    util::SpscRing<net::Packet>& ring = *rings[0][shard];
+    util::SpscRing<net::Packet>& ring = links[0][shard]->packets;
+    util::SpscRing<util::Bytes>& back = links[0][shard]->buffers;
     std::vector<net::Packet> staged(config.batch);
+    std::vector<util::Bytes> scratch(config.batch);
     std::size_t feeds = 0;
-    net::Packet first;
-    while (ring.pop(first)) {
-      feed_one(state, first);
-      ++feeds;
-      std::size_t got;
-      while ((got = ring.try_pop_n(staged.data(), staged.size())) > 0) {
-        for (std::size_t i = 0; i < got; ++i) feed_one(state, staged[i]);
+    while (ring.pop(staged[0])) {
+      std::size_t got = 1 + ring.try_pop_n(staged.data() + 1, staged.size() - 1);
+      do {
+        feed_run(state, staged.data(), got);
+        give_back(back, staged.data(), got, scratch);
         feeds += got;
         if ((feeds & 1023u) < got) publish_gauges(shard);
-      }
+      } while ((got = ring.try_pop_n(staged.data(), staged.size())) > 0);
       if (collector != nullptr) collector->watermark(shard, state.max_fed);
     }
     if (collector != nullptr) collector->watermark(shard, state.max_fed);
   }
 
-  /// Refill an empty lane from its ring. Returns true when packets were
-  /// staged. Sets `exhausted` once the ring is closed and drained.
-  static bool refill(Lane& lane) {
+  /// Refill an empty lane from its ring, first handing the fed batch's
+  /// buffers back. Returns true when packets were staged. Sets
+  /// `exhausted` once the ring is closed and drained.
+  static bool refill(Lane& lane, std::vector<util::Bytes>& scratch) {
+    Link& link = *lane.link;
+    if (lane.count > 0) give_back(link.buffers, lane.staged.data(), lane.count, scratch);
     lane.head = 0;
-    lane.count = lane.ring->try_pop_n(lane.staged.data(), lane.staged.size());
+    // Load the floor before popping: an empty pop then proves nothing
+    // older than the floor is still coming.
+    const std::int64_t floor = link.floor.load(std::memory_order_acquire);
+    lane.count = link.packets.try_pop_n(lane.staged.data(), lane.staged.size());
     if (lane.count == 0) {
-      if (!lane.ring->closed()) return false;
+      if (!link.packets.closed()) {
+        lane.low_bound = std::max(lane.low_bound, floor);
+        return false;
+      }
       // close() happens after the final push; one refreshed retry
       // cannot miss it.
-      lane.count = lane.ring->try_pop_n(lane.staged.data(), lane.staged.size());
+      lane.count = link.packets.try_pop_n(lane.staged.data(), lane.staged.size());
       if (lane.count == 0) {
         lane.exhausted = true;
         return false;
@@ -474,9 +594,10 @@ struct MonitorFleet::Impl {
     Shard& state = shards[shard];
     std::vector<Lane> lanes(config.sources);
     for (std::size_t s = 0; s < config.sources; ++s) {
-      lanes[s].ring = rings[s][shard].get();
+      lanes[s].link = links[s][shard].get();
       lanes[s].staged.resize(config.batch);
     }
+    std::vector<util::Bytes> scratch(config.batch);
     const std::int64_t merge_wait = config.merge_wait.total_nanos();
     std::int64_t waited = 0;
     std::size_t feeds = 0;
@@ -485,7 +606,7 @@ struct MonitorFleet::Impl {
       bool all_exhausted = true;
       for (Lane& lane : lanes) {
         if (lane.exhausted) continue;
-        if (!lane.has_staged()) refill(lane);
+        if (!lane.has_staged()) refill(lane, scratch);
         all_exhausted &= lane.exhausted;
       }
 
@@ -522,7 +643,7 @@ struct MonitorFleet::Impl {
 
       if (!blocked) {
         Lane& lane = lanes[best];
-        feed_one(state, lane.staged[lane.head]);
+        feed_run(state, &lane.staged[lane.head], 1);
         ++lane.head;
         waited = 0;
         ++feeds;
@@ -644,8 +765,8 @@ struct MonitorFleet::Impl {
     }
     // Close every ring — including slots never attached — so each
     // worker's lanes exhaust and the workers drain out.
-    for (auto& row : rings) {
-      for (auto& ring : row) ring->close();
+    for (auto& row : links) {
+      for (auto& link : row) link->packets.close();
     }
     for (Shard& shard : shards) {
       if (shard.worker.joinable()) shard.worker.join();
@@ -680,6 +801,7 @@ struct MonitorFleet::Impl {
     stats.packets_unroutable = unroutable.load(std::memory_order_relaxed);
     stats.merge_deferrals = deferrals.load(std::memory_order_relaxed);
     stats.backpressure_waits = backpressure.load(std::memory_order_relaxed);
+    stats.buffers_allocated = buffers_allocated.load(std::memory_order_relaxed);
     return stats;
   }
 
@@ -718,8 +840,8 @@ struct MonitorFleet::Impl {
     for (std::thread& pump_thread : to_join) {
       if (pump_thread.joinable()) pump_thread.join();
     }
-    for (auto& row : rings) {
-      for (auto& ring : row) ring->close();
+    for (auto& row : links) {
+      for (auto& link : row) link->packets.close();
     }
     for (Shard& shard : shards) {
       if (shard.worker.joinable()) shard.worker.join();
@@ -730,9 +852,10 @@ struct MonitorFleet::Impl {
   const core::RecordClassifier& classifier;
   const FleetConfig config;
   std::unique_ptr<OrderingCollector> collector;
-  /// rings[source][shard]: producer = that source's pump, consumer =
-  /// that shard's worker — strict SPSC per ring.
-  std::vector<std::vector<std::unique_ptr<util::SpscRing<net::Packet>>>> rings;
+  /// links[source][shard]: the packet ring's producer is that source's
+  /// pump and its consumer that shard's worker; the buffer ring runs
+  /// the other way. Strict SPSC per ring.
+  std::vector<std::vector<std::unique_ptr<Link>>> links;
   std::vector<Shard> shards;
 
   // wm-lint: allow(mutex): attach/finish lifecycle edges only — never
@@ -756,6 +879,7 @@ struct MonitorFleet::Impl {
   std::atomic<std::uint64_t> unroutable{0};
   std::atomic<std::uint64_t> deferrals{0};
   std::atomic<std::uint64_t> backpressure{0};
+  std::atomic<std::uint64_t> buffers_allocated{0};
   std::atomic<std::size_t> sources_done{0};
 
   FleetStats stats WM_GUARDED_BY(finish_mutex);

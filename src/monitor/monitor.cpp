@@ -1,10 +1,13 @@
 #include "wm/monitor/monitor.hpp"
 
+#include <algorithm>
+#include <cstring>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
 
 #include "wm/net/flow.hpp"
+#include "wm/net/packet.hpp"
 
 namespace wm::monitor {
 
@@ -37,9 +40,41 @@ std::uint64_t timer_data(std::uint32_t slot, TimerKind kind) {
          static_cast<std::uint64_t>(kind);
 }
 
-std::string client_key(const net::FlowKey& flow) {
-  return flow.client.is_v6 ? flow.client.v6.to_string()
-                           : flow.client.v4.to_string();
+/// A viewer's index key: its client address packed into two words, so
+/// the per-record lookup hashes integers instead of formatting a string.
+struct ClientKey {
+  std::uint64_t high = 0;
+  std::uint64_t low = 0;
+  bool v6 = false;  // keeps a.b.c.d apart from ::a.b.c.d
+
+  bool operator==(const ClientKey&) const = default;
+};
+
+struct ClientKeyHash {
+  std::size_t operator()(const ClientKey& key) const noexcept {
+    // splitmix64 finalizer over the folded words.
+    std::uint64_t x = key.high * 0x9e3779b97f4a7c15ull ^ key.low ^
+                      (key.v6 ? 0xbf58476d1ce4e5b9ull : 0);
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return static_cast<std::size_t>(x ^ (x >> 31));
+  }
+};
+
+ClientKey client_key(const net::Endpoint& client) {
+  ClientKey key;
+  if (client.is_v6) {
+    key.v6 = true;
+    std::memcpy(&key.high, client.v6.octets().data(), 8);
+    std::memcpy(&key.low, client.v6.octets().data() + 8, 8);
+  } else {
+    key.low = client.v4.value();
+  }
+  return key;
+}
+
+std::string client_string(const net::Endpoint& client) {
+  return client.is_v6 ? client.v6.to_string() : client.v4.to_string();
 }
 
 }  // namespace
@@ -48,7 +83,8 @@ std::string client_key(const net::FlowKey& flow) {
 // incremental decoder with its bounded gap ring, not the observation
 // log the batch collector keeps.
 struct ViewerState {
-  std::string client;
+  ClientKey key;
+  std::string client;  // formatted once, when the viewer opens
   util::SimTime last_activity;
   core::ChoiceDecoder decoder;
   util::TimerWheel::TimerId window_timer = util::TimerWheel::kInvalidTimer;
@@ -134,7 +170,8 @@ struct ContinuousMonitor::Impl {
 
   // --- Viewer table ---------------------------------------------------
 
-  std::uint32_t viewer_of(const std::string& key, util::SimTime now) {
+  std::uint32_t viewer_of(const net::Endpoint& client, util::SimTime now) {
+    const ClientKey key = client_key(client);
     const auto it = index.find(key);
     if (it != index.end()) return it->second;
 
@@ -148,7 +185,8 @@ struct ContinuousMonitor::Impl {
     }
     ViewerState& viewer = arena[slot];
     viewer = ViewerState{};
-    viewer.client = key;
+    viewer.key = key;
+    viewer.client = client_string(client);
     viewer.last_activity = now;
     viewer.in_use = true;
     viewer.decoder = core::ChoiceDecoder(config.max_viewer_gaps);
@@ -250,7 +288,7 @@ struct ContinuousMonitor::Impl {
       sink->on_viewer_evicted(event);
     }
     lru_unlink(slot);
-    index.erase(viewer.client);
+    index.erase(viewer.key);
     dynamic_bytes -= viewer.dynamic_bytes();
     --active_count;
     viewer.in_use = false;
@@ -351,8 +389,7 @@ struct ContinuousMonitor::Impl {
     if (stream_event.kind == tls::StreamEvent::Kind::kGap) {
       const tls::StreamGapEvent& gap = stream_event.gap;
       if (gap.direction != net::FlowDirection::kClientToServer) return;
-      const std::string key = client_key(stream_event.flow);
-      const std::uint32_t slot = viewer_of(key, gap.timestamp);
+      const std::uint32_t slot = viewer_of(stream_event.flow.client, gap.timestamp);
       ViewerState& viewer = arena[slot];
       const core::GapSpan span{gap.timestamp, gap.length};
       viewer.decoder.add_gap(span);
@@ -369,8 +406,7 @@ struct ContinuousMonitor::Impl {
 
     const tls::RecordEvent& event = stream_event.event;
     if (!event.is_client_application_data()) return;
-    const std::string key = client_key(stream_event.flow);
-    const std::uint32_t slot = viewer_of(key, event.timestamp);
+    const std::uint32_t slot = viewer_of(stream_event.flow.client, event.timestamp);
 
     core::ClientRecordObservation observation;
     observation.timestamp = event.timestamp;
@@ -429,16 +465,30 @@ struct ContinuousMonitor::Impl {
     note_memory();
   }
 
-  void feed(const net::Packet& packet) {
-    ++stats.packets;
-    // Fire everything due strictly before this packet's instant, then
-    // analyze — one timeline, capture-time ordered.
-    advance(packet.timestamp);
-    if (sweep_timer == util::TimerWheel::kInvalidTimer) {
-      arm_flow_sweep(packet.timestamp);
-    }
-    for (const tls::StreamEvent& stream_event : extractor.feed(packet)) {
-      handle_event(stream_event);
+  void feed_batch(const net::Packet* packets, std::size_t count) {
+    while (count > 0) {
+      // Decoding is stateless, so a whole slab can be decoded ahead of
+      // the timers that fire between its packets.
+      const std::size_t n = std::min(count, net::DecodedSlab::kCapacity);
+      net::decode_slab(packets, n, slab);
+      for (std::size_t i = 0; i < n; ++i) {
+        const net::Packet& packet = packets[i];
+        ++stats.packets;
+        // Fire everything due strictly before this packet's instant,
+        // then analyze — one timeline, capture-time ordered.
+        advance(packet.timestamp);
+        if (sweep_timer == util::TimerWheel::kInvalidTimer) {
+          arm_flow_sweep(packet.timestamp);
+        }
+        events.clear();
+        extractor.feed_lens(packet.timestamp, packet.data, slab.lens[i],
+                            /*stable_payload=*/false, events);
+        for (const tls::StreamEvent& stream_event : events) {
+          handle_event(stream_event);
+        }
+      }
+      packets += n;
+      count -= n;
     }
   }
 
@@ -447,10 +497,12 @@ struct ContinuousMonitor::Impl {
   engine::EventSink* const sink;
   util::TimerWheel wheel;
   tls::RecordStreamExtractor extractor;
+  net::DecodedSlab slab;                  // feed_batch's decode scratch
+  std::vector<tls::StreamEvent> events;  // one packet's extractor output
   MonitorStats stats;
 
   std::vector<ViewerState> arena;
-  std::unordered_map<std::string, std::uint32_t> index;
+  std::unordered_map<ClientKey, std::uint32_t, ClientKeyHash> index;
   std::uint32_t free_head = kNilIndex;
   std::uint32_t lru_head = kNilIndex;
   std::uint32_t lru_tail = kNilIndex;
@@ -482,15 +534,20 @@ ContinuousMonitor::ContinuousMonitor(const core::RecordClassifier& classifier,
 ContinuousMonitor::~ContinuousMonitor() = default;
 
 void ContinuousMonitor::feed(const net::Packet& packet) {
-  impl_->feed(packet);
+  impl_->feed_batch(&packet, 1);
+}
+
+void ContinuousMonitor::feed_batch(const net::Packet* packets,
+                                   std::size_t count) {
+  impl_->feed_batch(packets, count);
 }
 
 std::size_t ContinuousMonitor::consume(engine::PacketSource& source) {
   std::size_t total = 0;
   engine::PacketBatch batch;
-  while (source.read_batch(batch, 256) != 0) {
+  while (source.read_batch(batch, net::DecodedSlab::kCapacity) != 0) {
     total += batch.size();
-    for (const net::Packet& packet : batch) impl_->feed(packet);
+    impl_->feed_batch(batch.begin(), batch.size());
   }
   return total;
 }

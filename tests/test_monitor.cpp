@@ -1,11 +1,14 @@
 // ContinuousMonitor: online emission equivalence against the batch
 // decoder, multi-viewer separation, idle eviction and memory shedding,
-// and the live-source drivers (InjectableTap, TimedReplaySource).
+// feed_batch chunking invariance, and the live-source drivers
+// (InjectableTap, TimedReplaySource).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -13,8 +16,10 @@
 #include "wm/monitor/live_source.hpp"
 #include "wm/monitor/monitor.hpp"
 #include "wm/monitor/workload.hpp"
+#include "wm/sim/impairments.hpp"
 #include "wm/sim/session.hpp"
 #include "wm/story/bandersnatch.hpp"
+#include "wm/util/rng.hpp"
 
 namespace wm::monitor {
 namespace {
@@ -241,6 +246,114 @@ TEST(Monitor, MemoryCeilingShedsOldestIdleViewer) {
     }
   }
   EXPECT_EQ(shed_events, stats.viewers_shed);
+}
+
+/// Every callback as one line, in delivery order, with exact values
+/// (confidence by its bit pattern): two runs agree iff their event
+/// streams are identical.
+struct TranscriptSink final : engine::EventSink {
+  std::vector<std::string> lines;
+
+  static std::uint64_t bits(double value) {
+    std::uint64_t out = 0;
+    std::memcpy(&out, &value, sizeof out);
+    return out;
+  }
+  static std::string question_line(const core::InferredQuestion& q) {
+    std::ostringstream out;
+    out << q.question_time.nanos() << ' ' << static_cast<int>(q.choice) << ' '
+        << bits(q.confidence);
+    return out.str();
+  }
+  void on_question_opened(const engine::QuestionOpenedEvent& event) override {
+    lines.push_back("open " + std::string(event.client) + ' ' +
+                    question_line(event.question) + ' ' +
+                    std::to_string(event.record_length));
+  }
+  void on_choice_inferred(const engine::ChoiceInferredEvent& event) override {
+    lines.push_back("choice " + std::string(event.client) + ' ' +
+                    question_line(event.question) + ' ' +
+                    std::to_string(event.record_length) + ' ' +
+                    std::to_string(event.at.nanos()) + ' ' +
+                    std::to_string(event.final));
+  }
+  void on_viewer_evicted(const engine::ViewerEvictedEvent& event) override {
+    lines.push_back("evict " + std::string(event.client) + ' ' +
+                    std::to_string(static_cast<int>(event.reason)) + ' ' +
+                    std::to_string(event.at.nanos()) + ' ' +
+                    std::to_string(event.questions_emitted));
+  }
+  void on_gap_observed(const engine::GapObservedEvent& event) override {
+    lines.push_back("gap " + std::string(event.client) + ' ' +
+                    std::to_string(event.gap.at.nanos()) + ' ' +
+                    std::to_string(event.gap.bytes));
+  }
+};
+
+/// Per-packet feed() against feed_batch() in seeded random chunks of
+/// 1–600 packets (so chunks straddle the 256-packet slab boundary):
+/// timers must fire between the packets of a chunk exactly as between
+/// lone packets, so the transcripts and the stats are identical.
+void expect_chunking_invariant(const std::vector<net::Packet>& packets,
+                               const core::RecordClassifier& classifier,
+                               std::uint64_t seed, bool impaired) {
+  MonitorConfig config;
+  // Short enough that evidence windows, idle evictions and flow sweeps
+  // all come due while a chunk is being fed.
+  config.evidence_window = util::Duration::seconds(5);
+  config.viewer_idle_timeout = util::Duration::seconds(10);
+  config.flow_idle_timeout = util::Duration::seconds(8);
+
+  TranscriptSink single_sink;
+  ContinuousMonitor single(classifier, config, &single_sink);
+  for (const net::Packet& packet : packets) single.feed(packet);
+  const MonitorStats single_stats = single.finish();
+  ASSERT_GT(single_stats.choices_inferred, 0u);
+  ASSERT_GT(single_stats.viewers_evicted_idle, 0u);
+  ASSERT_GT(single_stats.flows_swept, 0u);
+  if (impaired) ASSERT_GT(single_stats.gaps_observed, 0u);
+
+  TranscriptSink chunked_sink;
+  ContinuousMonitor chunked(classifier, config, &chunked_sink);
+  util::Rng rng(seed);
+  std::size_t offset = 0;
+  std::size_t longest = 0;
+  while (offset < packets.size()) {
+    const auto want = static_cast<std::size_t>(rng.uniform_int(1, 600));
+    const std::size_t n = std::min(want, packets.size() - offset);
+    chunked.feed_batch(packets.data() + offset, n);
+    offset += n;
+    longest = std::max(longest, n);
+  }
+  const MonitorStats chunked_stats = chunked.finish();
+  ASSERT_GT(longest, net::DecodedSlab::kCapacity);
+
+  EXPECT_EQ(chunked_stats.to_string(), single_stats.to_string());
+  ASSERT_EQ(chunked_sink.lines.size(), single_sink.lines.size());
+  for (std::size_t i = 0; i < single_sink.lines.size(); ++i) {
+    ASSERT_EQ(chunked_sink.lines[i], single_sink.lines[i]) << "event " << i;
+  }
+}
+
+TEST(Monitor, FeedBatchChunkingMatchesPerPacketFeed) {
+  WorkloadConfig workload;
+  workload.sessions = 200;
+  workload.concurrency = 16;
+  workload.questions_per_session = 3;
+  core::IntervalClassifier classifier;
+  classifier.fit(workload_calibration(workload));
+  SyntheticFleetSource source(workload);
+  std::vector<net::Packet> packets;
+  while (auto packet = source.next()) packets.push_back(std::move(*packet));
+
+  expect_chunking_invariant(packets, classifier, 4401, /*impaired=*/false);
+
+  util::Rng rng(4402);
+  const std::vector<net::Packet> dropped = sim::drop_packets(packets, 0.01, rng);
+  const std::vector<net::Packet> impaired =
+      sim::jitter_order(dropped, 0.005, rng);
+  ASSERT_LT(impaired.size(), packets.size());
+  expect_chunking_invariant(impaired, classifier, 4403, /*impaired=*/true);
 }
 
 TEST(Monitor, InjectableTapDeliversInjectedPackets) {

@@ -6,11 +6,13 @@
 // impairments. Plus: global-order delivery through OrderingCollector,
 // rollup metric accounting, viewer-hash routing invariants, and a
 // tiny-ring stress leg (backpressure + shutdown-while-feeding + the
-// abort-without-finish destructor path).
+// abort-without-finish destructor path), and buffer recycling through
+// the return rings under constant backpressure.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -25,6 +27,7 @@
 #include "wm/monitor/monitor.hpp"
 #include "wm/monitor/workload.hpp"
 #include "wm/net/flow.hpp"
+#include "wm/net/pcap.hpp"
 #include "wm/obs/registry.hpp"
 #include "wm/sim/impairments.hpp"
 #include "wm/util/rng.hpp"
@@ -464,6 +467,91 @@ TEST(MonitorFleet, StressTinyRingsBackpressureAndShutdownWhileFeeding) {
   EXPECT_EQ(total_choices, stats.totals.choices_inferred);
   EXPECT_EQ(stats.totals.choices_inferred,
             workload.sessions * workload.questions_per_session);
+}
+
+/// Rings no bigger than one batch keep every pump parking, so buffers
+/// cross the return rings constantly; the sources mix a borrowed batch
+/// (copied), owned capture-file slots (recycled in place) and taps
+/// (whose slots swap buffers). Streams stay exactly the single
+/// monitor's, and the pumps' fresh allocations stay under a bound set
+/// by ring and batch sizes alone — far below the capture's length.
+TEST(MonitorFleet, RecycledBuffersKeepStreamsExactUnderBackpressure) {
+  WorkloadConfig workload;
+  workload.sessions = 400;
+  workload.concurrency = 24;
+  workload.questions_per_session = 3;
+  core::IntervalClassifier classifier;
+  classifier.fit(workload_calibration(workload));
+
+  // Round-trip through pcap once, so the file-backed sources replay
+  // exactly the packets (and timestamp resolution) the reference sees.
+  const auto dir = std::filesystem::temp_directory_path();
+  const auto whole = dir / "wm_fleet_recycle_whole.pcap";
+  net::write_pcap(whole, materialize(workload));
+  const std::vector<net::Packet> packets = net::read_pcap(whole);
+  std::filesystem::remove(whole);
+
+  ReferenceRun reference;
+  run_reference(classifier, packets, reference);
+
+  constexpr std::size_t kShards = 4;
+  constexpr std::size_t kSources = 4;
+  // Sources take viewers by different hash bits than shards do, so
+  // every source feeds every shard and the merge interleaves them.
+  std::vector<std::vector<net::Packet>> parts(kSources);
+  for (const net::Packet& packet : packets) {
+    const auto hash = net::viewer_shard_hash(packet);
+    const std::size_t slot = hash ? static_cast<std::size_t>((*hash >> 8) % kSources) : 0;
+    parts[slot].push_back(packet);
+  }
+
+  for (const std::size_t batch : {1u, 7u}) {
+    const std::string label = "batch=" + std::to_string(batch);
+    FleetSink sink;
+    FleetConfig config;
+    config.shards = kShards;
+    config.sources = kSources;
+    config.ring_capacity = batch;
+    config.batch = batch;
+    config.merge_wait = util::Duration::seconds(30);
+    config.monitor = diff_config();
+    ASSERT_GE(packets.size(), 50 * kSources * kShards * config.ring_capacity)
+        << label;
+
+    std::vector<std::filesystem::path> files;
+    for (const std::size_t slot : {1u, 3u}) {
+      files.push_back(dir / ("wm_fleet_recycle_" + std::to_string(batch) +
+                             "_" + std::to_string(slot) + ".pcap"));
+      net::write_pcap(files.back(), parts[slot]);
+    }
+    engine::VectorSource borrowed(&parts[0]);
+    auto first_file = engine::open_capture(files[0]);
+    auto second_file = engine::open_capture(files[1]);
+    ASSERT_TRUE(first_file.ok() && second_file.ok()) << label;
+    InjectableTap tap(/*capacity=*/8);
+    {
+      MonitorFleet fleet(classifier, config, &sink);
+      fleet.attach(borrowed);
+      fleet.attach(*first_file.value());
+      fleet.attach(tap);
+      fleet.attach(*second_file.value());
+      for (const net::Packet& packet : parts[2]) {
+        ASSERT_TRUE(tap.inject(packet)) << label;
+      }
+      tap.close();
+      const FleetStats stats = fleet.finish();
+
+      expect_equal_streams(sink, reference.sink, label);
+      expect_equal_totals(stats, reference.stats, label);
+      EXPECT_EQ(stats.packets, packets.size()) << label;
+      EXPECT_EQ(stats.merge_deferrals, 0u) << label;
+      EXPECT_GT(stats.backpressure_waits, 0u) << label;
+      EXPECT_LE(stats.buffers_allocated,
+                kSources * kShards * 2 * (config.ring_capacity + batch))
+          << label;
+    }
+    for (const auto& file : files) std::filesystem::remove(file);
+  }
 }
 
 TEST(MonitorFleet, DestructionWithoutFinishDrainsAndJoins) {

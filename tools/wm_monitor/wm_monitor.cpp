@@ -129,7 +129,7 @@ int run_monitor(monitor::ContinuousMonitor& monitor,
   for (;;) {
     const std::size_t count = source.read_batch(batch, 256);
     if (count == 0) break;
-    for (const net::Packet& packet : batch) monitor.feed(packet);
+    monitor.feed_batch(batch.begin(), count);
     fed += count;
     if (stats_every != 0 && fed >= next_report) {
       next_report += stats_every;
