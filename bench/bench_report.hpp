@@ -1,22 +1,32 @@
-// Shared schema for the committed BENCH_pr*.json documents.
+// Schema of the committed BENCH_pr*.json documents, and the ratio gate
+// that holds a fresh traced perfbench run against the last of them.
 //
-// Every hand-rolled benchmark binary (perf_ingest, perf_fleet) emits
-// the same envelope — {"bench": <name>, "version": kBenchSchemaVersion,
-// "smoke": <bool>, <sections>...} — through Report, and the same row
-// shape for throughput measurements through Throughput. validate()
-// checks both, and is used three ways: by each binary's --smoke
-// self-check, by the bench_validate CLI that CI runs over the emitted
-// and the committed documents, and by the bench-validate ctest entry.
+// Version 3 (current) documents are perfbench results:
 //
-// Version history: version 1 documents (BENCH_pr3/6/7.json) predate the
-// shared emitter; they parse but are exempt from the row-shape rules
-// (several of their engine rows carry the bytes=0 accounting bug this
-// schema exists to keep fixed). Version 2 adds the mandatory envelope
-// and requires every throughput row to carry real byte totals.
+//   {"bench": "perfbench", "version": 3, "commit": "<sha>",
+//    "runs": [{"workload", "seed", "seconds", "trace",
+//              "env": {"hardware_threads", "cpu", "build"},
+//              "correct", "attempted", "failed",
+//              "metrics": {<name>: {"value", "unit"}}}]}
+//
+// Each run's workload must be one that BENCHMARK.json declares, and
+// each run must report exactly the metrics of its catalogue, with the
+// catalogue's units: "end_to_end" for untraced (trace 0) runs,
+// "per_layer" for traced (trace 1) runs.
+// A committed run must have passed its answer checks (correct, zero
+// failed) and name the machine it ran on.
+//
+// Version history, kept so the historic files stay checked: version 1
+// documents (BENCH_pr3/6/7.json) get envelope checks only (several of
+// their engine rows carry a bytes=0 accounting bug); version 2
+// (BENCH_pr10.json) requires a "smoke" flag and every throughput row
+// (an object with "packets_per_sec") to carry real byte totals.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -24,60 +34,50 @@
 
 namespace wm::bench {
 
-/// Bump when the envelope or row shape changes incompatibly.
-inline constexpr std::int64_t kBenchSchemaVersion = 2;
+/// Bump when the document shape changes incompatibly.
+inline constexpr std::int64_t kBenchSchemaVersion = 3;
 
-/// One throughput measurement row. `bytes` must be the real byte count
-/// the measured path moved — validate() rejects rows where packets
-/// flowed but bytes stayed zero (the PR 3 engine-row bug).
-struct Throughput {
-  double seconds = 0.0;
-  std::uint64_t packets = 0;
-  std::uint64_t bytes = 0;
-
-  [[nodiscard]] double packets_per_sec() const {
-    return seconds > 0.0 ? static_cast<double>(packets) / seconds : 0.0;
-  }
-  [[nodiscard]] double bytes_per_sec() const {
-    return seconds > 0.0 ? static_cast<double>(bytes) / seconds : 0.0;
-  }
-  [[nodiscard]] util::JsonValue to_json() const;
+/// The catalogue a version 3 document is checked against: the
+/// workload names and metric units that BENCHMARK.json declares.
+struct Spec {
+  std::set<std::string> workloads;
+  std::map<std::string, std::string> end_to_end;  // name -> unit
+  std::map<std::string, std::string> per_layer;   // name -> unit
 };
 
-/// Accumulates named sections, then renders the versioned envelope.
-class Report {
- public:
-  Report(std::string bench_name, bool smoke)
-      : bench_name_(std::move(bench_name)), smoke_(smoke) {}
+/// Parse BENCHMARK.json. Throws std::runtime_error on I/O, parse or
+/// shape errors.
+[[nodiscard]] Spec load_spec(const std::filesystem::path& path);
 
-  /// Attach one top-level section (overwrites a same-named section).
-  void add_section(const std::string& name, util::JsonValue value);
+/// Parse a JSON file. Throws std::runtime_error on I/O or parse errors.
+[[nodiscard]] util::JsonValue load_json(const std::filesystem::path& path);
 
-  /// Render the full document (envelope + sections), 2-space indented.
-  [[nodiscard]] std::string render() const;
-
-  /// render() to stdout, and to `path` when non-empty. Throws on I/O
-  /// failure.
-  void emit(const std::string& path) const;
-
- private:
-  std::string bench_name_;
-  bool smoke_ = false;
-  util::JsonObject sections_;
-};
-
-/// Validate one parsed benchmark document against the schema. Returns
-/// human-readable problems; empty means the document conforms.
-/// Version 1 documents get envelope checks only (historic files are
-/// kept as committed); version >= 2 additionally requires every object
-/// carrying "packets_per_sec" to be a well-formed row: seconds and
-/// packets always, and — when the row advertises byte rates at all —
-/// real, nonzero byte accounting to back them.
-[[nodiscard]] std::vector<std::string> validate(const util::JsonValue& document);
+/// Validate one parsed benchmark document. Returns human-readable
+/// problems; empty means the document conforms. `spec` applies to
+/// version 3 documents only.
+[[nodiscard]] std::vector<std::string> validate(const util::JsonValue& document,
+                                                const Spec& spec);
 
 /// Parse + validate a file on disk. I/O and parse errors come back as
 /// problems rather than exceptions, so the CLI can keep going.
 [[nodiscard]] std::vector<std::string> validate_file(
-    const std::filesystem::path& path);
+    const std::filesystem::path& path, const Spec& spec);
+
+/// How many times its reference value a gated ratio may grow before
+/// the ratio gate fails.
+inline constexpr double kRatioLimit = 2.0;
+
+/// Hold a traced dataset_scoring result line (perfbench's last stdout
+/// line) against the traced dataset_scoring run of a version 3
+/// `reference` document. The line must pass validation as a traced
+/// result, and no gated ratio may exceed kRatioLimit times its
+/// reference value. The gated ratios stay put from machine to machine while
+/// absolute times do not, and lower is better for each: batch vs
+/// per-packet TLS extraction, slab vs scalar decode, view vs owned
+/// capture reads, and trace.overhead_ratio. Absolute numbers are never
+/// compared.
+[[nodiscard]] std::vector<std::string> check_ratios(const util::JsonValue& reference,
+                                                    const util::JsonValue& line,
+                                                    const Spec& spec);
 
 }  // namespace wm::bench

@@ -2,10 +2,8 @@
 //
 // The engine consumes packets through one interface regardless of
 // where they come from: a capture file on disk (classic pcap or
-// pcapng, streamed record by record — the file is never loaded whole),
-// an in-memory packet vector (simulator output, tests), or a chunked
-// replay source that re-plays a base capture lap after lap with fresh
-// flow identities — the stand-in for an indefinitely running tap.
+// pcapng, streamed record by record — the file is never loaded whole)
+// or an in-memory packet vector (simulator output, tests).
 //
 // The primary pull interface is read_batch(): one virtual call fills a
 // reusable PacketBatch, so per-packet virtual dispatch disappears from
@@ -285,40 +283,5 @@ struct CaptureOptions {
     const std::filesystem::path& path, const CaptureOptions& options);
 [[nodiscard]] Result<std::unique_ptr<PacketSource>> open_capture(
     const std::filesystem::path& path, obs::Registry* metrics = nullptr);
-
-/// Replays a base capture for `laps` laps, shifting timestamps each lap
-/// so the result is one continuous stream, and (by default) rewriting
-/// IP addresses per lap so every lap carries fresh flows from a fresh
-/// viewer. This turns a single captured session into an arbitrarily
-/// long monitoring workload — the tool for soak-testing flow eviction
-/// and multi-shard throughput.
-class ChunkedReplaySource final : public PacketSource {
- public:
-  struct Config {
-    std::size_t laps = 1;
-    /// Quiet gap appended after each lap before the next begins.
-    util::Duration lap_gap = util::Duration::millis(50);
-    /// Give each lap distinct IPv4 addresses (both endpoints; IPv4
-    /// header checksum is recomputed). Off = replay identical bytes.
-    bool rewrite_addresses = true;
-  };
-
-  ChunkedReplaySource(std::vector<net::Packet> base, Config config);
-
-  std::optional<net::Packet> next() override;
-
-  /// Lap 0 is handed out as a borrowed span (zero-copy); later laps
-  /// shift/rewrite into recycled slots, leaving the base pristine.
-  [[nodiscard]] std::size_t read_batch(PacketBatch& out, std::size_t max) override;
-
-  [[nodiscard]] std::size_t laps_completed() const { return lap_; }
-
- private:
-  std::vector<net::Packet> base_;
-  Config config_;
-  util::Duration lap_span_{};
-  std::size_t lap_ = 0;
-  std::size_t index_ = 0;
-};
 
 }  // namespace wm::engine

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <fstream>
 
-#include "wm/net/checksum.hpp"
 #include "wm/net/pcap.hpp"
 #include "wm/net/pcapng.hpp"
 
@@ -230,129 +229,6 @@ Result<std::unique_ptr<PacketSource>> open_capture(
   }
   return std::unique_ptr<PacketSource>(
       new CaptureFileSource(std::move(impl)));
-}
-
-// --- ChunkedReplaySource --------------------------------------------
-
-namespace {
-
-/// RFC 1624 incremental checksum update for one changed 16-bit word.
-void incremental_checksum_fix(std::uint8_t* checksum, std::uint16_t old_word,
-                              std::uint16_t new_word) {
-  std::uint32_t sum = static_cast<std::uint16_t>(
-      ~((static_cast<std::uint16_t>(checksum[0]) << 8) | checksum[1]));
-  sum += static_cast<std::uint16_t>(~old_word);
-  sum += new_word;
-  while (sum >> 16) sum = (sum & 0xffffu) + (sum >> 16);
-  const std::uint16_t fixed = static_cast<std::uint16_t>(~sum);
-  checksum[0] = static_cast<std::uint8_t>(fixed >> 8);
-  checksum[1] = static_cast<std::uint8_t>(fixed & 0xff);
-}
-
-std::uint16_t word_at(const util::Bytes& data, std::size_t offset) {
-  return static_cast<std::uint16_t>((static_cast<std::uint16_t>(data[offset]) << 8) |
-                                    data[offset + 1]);
-}
-
-/// XOR `lap` into the second/third octet of both IPv4 addresses and
-/// repair both checksums (IP header fully recomputed, TCP/UDP updated
-/// incrementally through the pseudo-header delta). Leaves non-IPv4 and
-/// VLAN-tagged frames untouched.
-void rewrite_ipv4_lap(util::Bytes& data, std::uint16_t lap) {
-  constexpr std::size_t kIp = 14;
-  if (data.size() < kIp + 20) return;
-  if (data[12] != 0x08 || data[13] != 0x00) return;
-  const std::size_t header_len = static_cast<std::size_t>(data[kIp] & 0x0f) * 4;
-  if (header_len < 20 || data.size() < kIp + header_len) return;
-
-  const std::uint8_t protocol = data[kIp + 9];
-  std::size_t transport_checksum = 0;
-  const std::size_t transport = kIp + header_len;
-  if (protocol == 6 && data.size() >= transport + 18) {
-    transport_checksum = transport + 16;
-  } else if (protocol == 17 && data.size() >= transport + 8 &&
-             (data[transport + 6] != 0 || data[transport + 7] != 0)) {
-    transport_checksum = transport + 6;  // zero means "no UDP checksum"
-  }
-
-  for (const std::size_t addr : {kIp + 12, kIp + 16}) {
-    const std::uint16_t old_hi = word_at(data, addr);
-    const std::uint16_t old_lo = word_at(data, addr + 2);
-    data[addr + 1] ^= static_cast<std::uint8_t>(lap >> 8);
-    data[addr + 2] ^= static_cast<std::uint8_t>(lap & 0xff);
-    if (transport_checksum != 0) {
-      incremental_checksum_fix(data.data() + transport_checksum, old_hi,
-                               word_at(data, addr));
-      incremental_checksum_fix(data.data() + transport_checksum, old_lo,
-                               word_at(data, addr + 2));
-    }
-  }
-
-  data[kIp + 10] = 0;
-  data[kIp + 11] = 0;
-  const std::uint16_t ip_checksum =
-      net::internet_checksum(util::BytesView(data.data() + kIp, header_len));
-  data[kIp + 10] = static_cast<std::uint8_t>(ip_checksum >> 8);
-  data[kIp + 11] = static_cast<std::uint8_t>(ip_checksum & 0xff);
-}
-
-}  // namespace
-
-ChunkedReplaySource::ChunkedReplaySource(std::vector<net::Packet> base,
-                                         Config config)
-    : base_(std::move(base)), config_(config) {
-  util::SimTime last;
-  for (const net::Packet& packet : base_) {
-    last = std::max(last, packet.timestamp);
-  }
-  lap_span_ = (last - util::SimTime()) + config_.lap_gap;
-}
-
-std::optional<net::Packet> ChunkedReplaySource::next() {
-  if (base_.empty()) return std::nullopt;
-  if (index_ >= base_.size()) {
-    ++lap_;
-    index_ = 0;
-  }
-  if (lap_ >= config_.laps) return std::nullopt;
-
-  net::Packet packet = base_[index_++];
-  if (lap_ > 0) {
-    packet.timestamp += lap_span_ * static_cast<std::int64_t>(lap_);
-    if (config_.rewrite_addresses) {
-      rewrite_ipv4_lap(packet.data, static_cast<std::uint16_t>(lap_));
-    }
-  }
-  return packet;
-}
-
-std::size_t ChunkedReplaySource::read_batch(PacketBatch& out, std::size_t max) {
-  out.clear();
-  if (base_.empty()) return 0;
-  if (index_ >= base_.size()) {
-    ++lap_;
-    index_ = 0;
-  }
-  if (lap_ >= config_.laps) return 0;
-
-  // Batches never straddle a lap boundary; the next call rolls over.
-  const std::size_t count = std::min(max, base_.size() - index_);
-  if (lap_ == 0) {
-    // First lap replays the base verbatim — borrow it outright.
-    out.borrow(base_.data() + index_, count);
-    index_ += count;
-    return count;
-  }
-  const util::Duration shift = lap_span_ * static_cast<std::int64_t>(lap_);
-  for (std::size_t i = 0; i < count; ++i) {
-    net::Packet& slot = out.append(base_[index_ + i]);
-    slot.timestamp += shift;
-    if (config_.rewrite_addresses) {
-      rewrite_ipv4_lap(slot.data, static_cast<std::uint16_t>(lap_));
-    }
-  }
-  index_ += count;
-  return count;
 }
 
 }  // namespace wm::engine

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "chunked_replay.hpp"
 #include "wm/core/engine/engine.hpp"
 #include "wm/core/engine/source.hpp"
 #include "wm/core/pipeline.hpp"
@@ -238,9 +239,9 @@ TEST(Engine, LongReplayEvictsIdleFlowsAndStaysBounded) {
   // one session length: within-session idle gaps survive, finished
   // sessions do not.
   constexpr std::size_t kLaps = 10;
-  engine::ChunkedReplaySource::Config replay_config;
+  test::ChunkedReplaySource::Config replay_config;
   replay_config.laps = kLaps;
-  engine::ChunkedReplaySource replay(base.capture.packets, replay_config);
+  test::ChunkedReplaySource replay(base.capture.packets, replay_config);
 
   InferOptions options;
   options.shards = 2;
@@ -294,10 +295,10 @@ TEST(Engine, ReplayWithoutRewriteKeepsOneViewer) {
   config.seed = 9901;
   auto base = sim::simulate_session(graph, alternating(13, true), config);
 
-  engine::ChunkedReplaySource::Config replay_config;
+  test::ChunkedReplaySource::Config replay_config;
   replay_config.laps = 3;
   replay_config.rewrite_addresses = false;
-  engine::ChunkedReplaySource replay(base.capture.packets, replay_config);
+  test::ChunkedReplaySource replay(base.capture.packets, replay_config);
 
   std::size_t packets = 0;
   std::string client;
