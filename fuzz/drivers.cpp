@@ -1,7 +1,12 @@
 #include "drivers.hpp"
 
+#include <array>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "wm/net/pcap.hpp"
 #include "wm/net/pcapng.hpp"
@@ -13,9 +18,10 @@ namespace wm::fuzz {
 
 namespace {
 
-/// In-memory stream over the fuzzer's bytes (streaming-parser path —
-/// the mmap path is covered by the same parse code via the block/record
-/// parsers, and fuzzing must not touch the filesystem).
+/// In-memory stream over the fuzzer's bytes: the streaming-parser path.
+/// The in-place (mmap) path is driven over the same bytes through the
+/// readers' borrowed-buffer constructors; fuzzing never touches the
+/// filesystem.
 std::istringstream byte_stream(util::BytesView data) {
   return std::istringstream(std::string(util::as_chars(data)));
 }
@@ -35,6 +41,37 @@ Outcome expect_rejection(Fn&& parse) {
   }
 }
 
+/// Every record one pcap reading path yields, then the error that
+/// ended it (nullopt after a clean end).
+struct PcapWalk {
+  std::vector<net::Packet> packets;
+  std::optional<std::string> error;
+
+  bool operator==(const PcapWalk& other) const {
+    if (error != other.error || packets.size() != other.packets.size()) return false;
+    for (std::size_t i = 0; i < packets.size(); ++i) {
+      const net::Packet& a = packets[i];
+      const net::Packet& b = other.packets[i];
+      if (a.timestamp != b.timestamp || a.data != b.data ||
+          a.original_length != b.original_length) {
+        return false;
+      }
+    }
+    return true;
+  }
+};
+
+template <typename Read>
+PcapWalk walk_pcap(Read&& read) {
+  PcapWalk walk;
+  try {
+    read(walk.packets);
+  } catch (const std::runtime_error& error) {
+    walk.error = error.what();
+  }
+  return walk;
+}
+
 }  // namespace
 
 std::string to_string(Outcome outcome) {
@@ -47,19 +84,45 @@ std::string to_string(Outcome outcome) {
 }
 
 Outcome drive_pcap(util::BytesView data) {
-  return expect_rejection([data] {
+  // Reference: the streaming reader, record by record.
+  const PcapWalk streamed = walk_pcap([data](std::vector<net::Packet>& out) {
     auto in = byte_stream(data);
     net::PcapReader reader(in);
-    while (reader.next().has_value()) {
-    }
-    // Second pass through the zero-copy API: both must agree that the
-    // input is well-formed.
-    auto again = byte_stream(data);
-    net::PcapReader views(again);
-    while (views.next_view().has_value()) {
-    }
-    return Outcome::kOk;
+    while (auto packet = reader.next()) out.push_back(std::move(*packet));
   });
+  // Every other path over the same bytes must yield the same packets
+  // and stop with the same error: the streaming zero-copy API, and the
+  // in-place record index read one view at a time and in next_views()
+  // runs of 7 with a single next_view() after every third run.
+  const PcapWalk streamed_views = walk_pcap([data](std::vector<net::Packet>& out) {
+    auto in = byte_stream(data);
+    net::PcapReader reader(in);
+    while (const auto view = reader.next_view()) out.push_back(view->to_packet());
+  });
+  const PcapWalk in_place = walk_pcap([data](std::vector<net::Packet>& out) {
+    net::PcapReader reader(data);
+    while (const auto view = reader.next_view()) out.push_back(view->to_packet());
+  });
+  const PcapWalk indexed = walk_pcap([data](std::vector<net::Packet>& out) {
+    net::PcapReader reader(data);
+    std::array<net::PacketView, 7> run;
+    for (std::size_t call = 1;; ++call) {
+      if (call % 4 == 0) {
+        const auto view = reader.next_view();
+        if (!view) break;
+        out.push_back(view->to_packet());
+        continue;
+      }
+      const std::size_t got = reader.next_views(run.data(), run.size());
+      if (got == 0) break;
+      for (std::size_t i = 0; i < got; ++i) out.push_back(run[i].to_packet());
+    }
+  });
+  if (!(streamed_views == streamed) || !(in_place == streamed) ||
+      !(indexed == streamed)) {
+    throw std::logic_error("pcap reading paths disagree");  // escapes: a bug
+  }
+  return streamed.error ? Outcome::kRejected : Outcome::kOk;
 }
 
 Outcome drive_pcapng(util::BytesView data) {

@@ -33,7 +33,9 @@ enum class Outcome {
 
 [[nodiscard]] std::string to_string(Outcome outcome);
 
-/// Classic pcap: stream-parse every record, both next() and read_all().
+/// Classic pcap: parse every record through the streaming reader and
+/// through the in-place record-indexed walk over the same bytes. The paths must agree packet for packet and on the error that
+/// ends them; a disagreement escapes as a finding.
 [[nodiscard]] Outcome drive_pcap(util::BytesView data);
 
 /// pcapng: stream-parse every block, including unknown-type skipping.

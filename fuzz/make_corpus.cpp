@@ -9,6 +9,7 @@
 // `<name>.<outcome>` — and tests/test_fuzz_corpus.cpp asserts replays
 // still produce that outcome: the taxonomy is pinned by the tree
 // itself, with no side-channel expectations file.
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -86,6 +87,45 @@ void make_pcap(const fs::path& dir) {
   huge_record[24 + 8] = 0xff;
   huge_record[24 + 9] = 0xff;
   emit(dir, "captured-length-lies", wm::fuzz::drive_pcap, huge_record);
+
+  // Record-index seeds. A small capture is one index window, cut into
+  // eight cursor segments at multiples of an eighth of its records.
+  // Every frame here is a chain of fake record headers, so cursor
+  // starts land on fakes the verified walk must never serve.
+  std::ostringstream fakes;
+  {
+    wm::net::PcapWriter writer(fakes);
+    for (std::uint32_t i = 0; i < 16; ++i) {
+      Bytes frame(96 + 8 * i, static_cast<std::uint8_t>(0x41 + i));
+      for (std::size_t pos = 0; pos + 16 + 8 <= frame.size(); pos += 16 + 8) {
+        // Captured and original length 8, little-endian.
+        std::fill(frame.begin() + static_cast<std::ptrdiff_t>(pos + 8),
+                  frame.begin() + static_cast<std::ptrdiff_t>(pos + 16), 0);
+        frame[pos + 8] = 8;
+        frame[pos + 12] = 8;
+      }
+      writer.write(wm::net::Packet(wm::util::SimTime::from_nanos(1'000 * (i + 1)), frame));
+    }
+  }
+  const std::string fake_text = fakes.str();
+  emit(dir, "fake-chain-in-payload", wm::fuzz::drive_pcap,
+       Bytes(fake_text.begin(), fake_text.end()));
+  // Sixteen 80-byte records: cursor 1's segment starts at record 2.
+  // Record 1's captured length grows by one record, so the walk skips
+  // record 2 (a real, plausible start) and must drop cursor 1.
+  std::ostringstream even;
+  {
+    wm::net::PcapWriter writer(even);
+    Bytes frame(64);
+    for (std::size_t i = 0; i < frame.size(); ++i) frame[i] = static_cast<std::uint8_t>(i + 1);
+    for (int i = 0; i < 16; ++i) {
+      writer.write(wm::net::Packet(wm::util::SimTime::from_nanos(1'000 * (i + 1)), frame));
+    }
+  }
+  const std::string even_text = even.str();
+  Bytes lie(even_text.begin(), even_text.end());
+  lie[24 + 80 + 8] = 64 + 80;
+  emit(dir, "caplen-lie-at-cursor-boundary", wm::fuzz::drive_pcap, lie);
 }
 
 void make_pcapng(const fs::path& dir) {

@@ -241,10 +241,13 @@ class CaptureFileSource final : public PacketSource {
 
   std::optional<net::Packet> next() override;
   /// Drains reader views into recycled slots: zero per-packet
-  /// allocation in the steady state, metrics amortized per batch.
+  /// allocation in the steady state, metrics amortized per batch. On
+  /// the mmap path classic pcap reads in runs from the reader's record
+  /// index (PcapReader::next_views).
   [[nodiscard]] std::size_t read_batch(PacketBatch& out, std::size_t max) override;
   /// mmap fast path only: views point straight into the mapped file,
-  /// which stays mapped for the source's lifetime. The buffered istream
+  /// which stays mapped for the source's lifetime; the same runs as
+  /// read_batch(), borrowed instead of copied. The buffered istream
   /// path recycles its staging buffer per record, so it reports 0 here
   /// and callers fall back to read_batch().
   [[nodiscard]] std::size_t read_views(PacketBatch& out, std::size_t max) override;

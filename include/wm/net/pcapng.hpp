@@ -59,6 +59,9 @@ class PcapngWriter {
 class PcapngReader {
  public:
   explicit PcapngReader(const std::filesystem::path& path);
+  /// Parse an already-mapped file in place (open_capture() maps once
+  /// and sniffs the format from the mapping).
+  explicit PcapngReader(util::MappedFile file);
   explicit PcapngReader(std::istream& in);
   ~PcapngReader();
 

@@ -83,8 +83,8 @@ struct StreamEvent {
 
 /// Streaming extractor. Two modes of use:
 ///
-///  * Batch (historic): add_packet() every packet, then finish() for
-///    one FlowRecordStream per flow.
+///  * Batch: feed_batch() every packet (extract_record_streams() does
+///    so in slab runs), then finish() for one FlowRecordStream per flow.
 ///  * Resumable (the engine's hot path): feed() returns the records
 ///    each packet completed, so analysis proceeds as traffic arrives.
 ///    With Config::retain_events=false and an idle timeout set, memory
@@ -159,10 +159,6 @@ class RecordStreamExtractor {
   void feed_lens(util::SimTime timestamp, util::BytesView frame,
                  const net::PacketLens& lens, bool stable_payload,
                  std::vector<StreamEvent>& out);
-
-  /// Historic entry point: feed() with the results dropped (they are
-  /// still retained for finish() when Config::retain_events is on).
-  void add_packet(const net::Packet& packet) { feed(packet); }
 
   /// End-of-capture: flush every live flow — outstanding reassembly
   /// holes become gaps, the TLS parsers re-lock with relaxed validation

@@ -1,10 +1,12 @@
 #include "wm/core/engine/source.hpp"
 
 #include <algorithm>
+#include <array>
 #include <fstream>
 
 #include "wm/net/pcap.hpp"
 #include "wm/net/pcapng.hpp"
+#include "wm/util/mmap_file.hpp"
 
 namespace wm::engine {
 
@@ -59,8 +61,31 @@ struct CaptureFileSource::Impl {
   obs::Counter* bytes = nullptr;
   obs::Counter* errors = nullptr;
 
-  std::optional<net::PacketView> next_view() {
-    return pcap ? pcap->next_view() : pcapng->next_view();
+  /// Appends up to `max` packets to `out`, copied or borrowed, and adds
+  /// their payload bytes to `payload` (kept when a corrupt record
+  /// throws). Classic pcap fills runs from its record index; pcapng
+  /// yields one view per call.
+  void fill(PacketBatch& out, std::size_t max, bool copy, std::uint64_t& payload) {
+    std::array<net::PacketView, 64> run;
+    while (out.size() < max) {
+      const std::size_t want = std::min(run.size(), max - out.size());
+      std::size_t got = 0;
+      if (pcap) {
+        got = pcap->next_views(run.data(), want);
+      } else if (const auto view = pcapng->next_view()) {
+        run[0] = *view;
+        got = 1;
+      }
+      if (got == 0) break;
+      for (std::size_t i = 0; i < got; ++i) {
+        payload += run[i].data.size();
+        if (copy) {
+          out.append(run[i]);
+        } else {
+          out.append_view(run[i]);
+        }
+      }
+    }
   }
   [[nodiscard]] bool memory_mapped() const {
     return pcap ? pcap->memory_mapped() : pcapng->memory_mapped();
@@ -99,12 +124,7 @@ std::size_t CaptureFileSource::read_batch(PacketBatch& out, std::size_t max) {
   if (error_) return 0;
   std::uint64_t bytes = 0;
   try {
-    while (out.size() < max) {
-      const auto view = impl_->next_view();
-      if (!view) break;
-      bytes += view->data.size();
-      out.append(*view);
-    }
+    impl_->fill(out, max, /*copy=*/true, bytes);
   } catch (const std::exception& e) {
     error_ = Error{ErrorCode::kMalformedCapture, e.what()};
     obs::inc(impl_->errors);
@@ -126,12 +146,7 @@ std::size_t CaptureFileSource::read_views(PacketBatch& out, std::size_t max) {
   if (error_ || !impl_->memory_mapped()) return 0;
   std::uint64_t bytes = 0;
   try {
-    while (out.size() < max) {
-      const auto view = impl_->next_view();
-      if (!view) break;
-      bytes += view->data.size();
-      out.append_view(*view);
-    }
+    impl_->fill(out, max, /*copy=*/false, bytes);
   } catch (const std::exception& e) {
     error_ = Error{ErrorCode::kMalformedCapture, e.what()};
     obs::inc(impl_->errors);
@@ -152,16 +167,26 @@ Result<std::unique_ptr<PacketSource>> open_capture(
 
 Result<std::unique_ptr<PacketSource>> open_capture(
     const std::filesystem::path& path, const CaptureOptions& options) {
-  std::ifstream probe(path, std::ios::binary);
-  if (!probe) {
-    return Error{ErrorCode::kNotFound, "cannot open " + path.string()};
-  }
+  // The mapping, when the fast path is allowed and engages, is both the
+  // magic probe and the reader's backing store: the file opens once.
+  util::MappedFile map;
+  if (options.allow_mmap) map = util::MappedFile::open(path);
   std::uint8_t magic_bytes[4] = {0, 0, 0, 0};
-  if (util::read_exact(probe, magic_bytes, 4) != 4) {
+  std::size_t magic_size = 0;
+  if (map.valid()) {
+    magic_size = std::min<std::size_t>(map.size(), 4);
+    std::copy_n(map.view().data(), magic_size, magic_bytes);
+  } else {
+    std::ifstream probe(path, std::ios::binary);
+    if (!probe) {
+      return Error{ErrorCode::kNotFound, "cannot open " + path.string()};
+    }
+    magic_size = util::read_exact(probe, magic_bytes, 4);
+  }
+  if (magic_size != 4) {
     return Error{ErrorCode::kUnsupportedFormat,
                  path.string() + " is too short to hold a capture-file magic"};
   }
-  probe.close();
 
   // Assemble the magic in both byte orders; pcap files may be written
   // on either endianness, pcapng's SHB type is order-invariant.
@@ -186,17 +211,17 @@ Result<std::unique_ptr<PacketSource>> open_capture(
 
   auto impl = std::make_unique<CaptureFileSource::Impl>();
   try {
-    if (options.allow_mmap) {
-      // Path constructors take the mmap fast path when the platform
-      // allows and fall back to buffered streaming themselves.
+    if (map.valid()) {
       if (is_pcapng) {
-        impl->pcapng = std::make_unique<net::PcapngReader>(path);
+        impl->pcapng = std::make_unique<net::PcapngReader>(std::move(map));
       } else {
-        impl->pcap = std::make_unique<net::PcapReader>(path);
+        impl->pcap = std::make_unique<net::PcapReader>(std::move(map));
       }
     } else {
-      // Forced streaming path: the readers' istream constructors never
-      // map, so this is the oracle the mmap path is differenced against.
+      // Streaming path: the file is unmappable (a pipe, say) or mmap is
+      // off. The readers' istream constructors never map, so with
+      // allow_mmap off this is the oracle the mmap path is differenced
+      // against.
       impl->stream = std::make_unique<std::ifstream>(path, std::ios::binary);
       if (!*impl->stream) {
         return Error{ErrorCode::kNotFound, "cannot open " + path.string()};

@@ -1,10 +1,14 @@
 #include "wm/net/pcap.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 #include "wm/util/bytes.hpp"
 
@@ -34,6 +38,18 @@ std::uint32_t load_u32_le(const std::uint8_t* bytes) {
 std::uint32_t byteswap32(std::uint32_t v) {
   return ((v & 0x000000ffu) << 24) | ((v & 0x0000ff00u) << 8) |
          ((v & 0x00ff0000u) >> 8) | ((v & 0xff000000u) >> 24);
+}
+
+[[noreturn]] void throw_unexpected_eof() {
+  throw std::runtime_error("pcap: unexpected end of file");
+}
+
+[[noreturn]] void throw_implausible_length() {
+  throw std::runtime_error("PcapReader: implausible captured length (corrupt file?)");
+}
+
+[[noreturn]] void throw_truncated_record() {
+  throw std::runtime_error("PcapReader: truncated packet record");
 }
 
 }  // namespace
@@ -93,16 +109,63 @@ void PcapWriter::write(const Packet& packet) {
 
 void PcapWriter::flush() { out_->flush(); }
 
+// --- Record index ----------------------------------------------------
+//
+// A record's offset is known only once the previous header has been
+// read, so a serial walk over a cold capture is one dependent cache miss
+// per packet. The in-place path instead indexes a window of the file
+// with kCursors cursors that step round-robin, one record per turn, so
+// their header misses overlap. Cursor 0 starts at the verified position;
+// cursor k at the first plausible record chain past k/kCursors of the
+// window, looked for within a few observed record lengths. A cursor's
+// records are kept only when the walk before it lands exactly on its
+// start, which makes the kept prefix the very records a serial walk
+// would read; where it does not, the window ends early and the next one
+// starts there. A window whose scan finds no start, or whose cursor 1
+// is overshot, lets the next kSoloWindows windows skip the scan: on a
+// capture where starts never verify, cursor 0 walks alone and the scan
+// is paid once per kSoloWindows + 1 windows.
+
+namespace {
+
+constexpr std::size_t kCursors = 8;
+constexpr std::size_t kIndexCapacity = 8192;  // u32 offsets: 32 KiB
+constexpr std::size_t kPerCursor = kIndexCapacity / kCursors;
+// Segments are sized for this many records, leaving slack for bursts
+// of small records before a cursor's share of the index is full.
+constexpr std::size_t kTargetPerCursor = kPerCursor * 3 / 4;
+constexpr std::size_t kFirstWindow = 256 * 1024;
+constexpr std::size_t kMinWindow = 4 * 1024;
+constexpr std::size_t kMaxWindow = 8 * 1024 * 1024;
+// A cursor-start scan covers this many observed record lengths (at
+// least a full-size Ethernet record), so a capture on which no cursor
+// ever verifies costs a few bytes of scan per record served.
+constexpr std::size_t kScanRecords = 4;
+constexpr std::size_t kMinScan = 2048;
+constexpr std::size_t kSoloWindows = 16;
+constexpr std::size_t kChainProbe = 4;
+constexpr std::size_t kPrefetchAhead = 12;
+constexpr std::size_t kRecordHeaderSize = 16;
+
+}  // namespace
+
+struct PcapReader::RecordIndex {
+  std::array<std::uint32_t, kIndexCapacity> offsets;  // relative to base
+  std::size_t base = 0;
+  std::size_t size = 0;  // records indexed
+  std::size_t next = 0;  // first record not yet served; at pos_
+  std::size_t window = kFirstWindow;
+  std::size_t scan = kFirstWindow / kCursors;  // cursor-start scan length
+  std::size_t solo = 0;  // windows left that cursor 0 walks alone
+};
+
 PcapReader::PcapReader(const std::filesystem::path& path)
     : map_(util::MappedFile::open(path)) {
   if (map_.valid()) {
     // Fast path: the whole capture is addressable; records are parsed
     // in place and next_view() borrows straight from the mapping.
-    if (map_.size() < PcapFileHeader::kSize) {
-      throw std::runtime_error("pcap: unexpected end of file");
-    }
-    parse_file_header(map_.view().data());
-    map_pos_ = PcapFileHeader::kSize;
+    file_ = map_.view();
+    open_in_place();
     return;
   }
   owned_ = std::make_unique<std::ifstream>(path, std::ios::binary);
@@ -113,9 +176,22 @@ PcapReader::PcapReader(const std::filesystem::path& path)
   read_file_header();
 }
 
+PcapReader::PcapReader(util::MappedFile file)
+    : map_(std::move(file)), file_(map_.view()) {
+  open_in_place();
+}
+
+PcapReader::PcapReader(util::BytesView bytes) : file_(bytes) { open_in_place(); }
+
 PcapReader::PcapReader(std::istream& in) : in_(&in) { read_file_header(); }
 
 PcapReader::~PcapReader() = default;
+
+void PcapReader::open_in_place() {
+  if (file_.size() < PcapFileHeader::kSize) throw_unexpected_eof();
+  parse_file_header(file_.data());
+  pos_ = PcapFileHeader::kSize;
+}
 
 std::uint32_t PcapReader::convert(std::uint32_t value) const {
   return header_.byte_swapped ? byteswap32(value) : value;
@@ -157,7 +233,7 @@ void PcapReader::read_file_header() {
   std::uint8_t bytes[PcapFileHeader::kSize];
   if (util::read_exact(*in_, bytes, PcapFileHeader::kSize) !=
       PcapFileHeader::kSize) {
-    throw std::runtime_error("pcap: unexpected end of file");
+    throw_unexpected_eof();
   }
   parse_file_header(bytes);
 }
@@ -169,10 +245,6 @@ PcapReader::RecordHeader PcapReader::parse_record_header(
   RecordHeader record;
   record.captured = convert(load_u32_le(bytes + 8));
   record.original = convert(load_u32_le(bytes + 12));
-  if (record.captured > header_.snaplen + 65536) {
-    throw std::runtime_error(
-        "PcapReader: implausible captured length (corrupt file?)");
-  }
   const std::uint64_t nanos =
       static_cast<std::uint64_t>(seconds) * 1'000'000'000ull +
       (header_.nanosecond_resolution
@@ -186,34 +258,190 @@ bool PcapReader::read_record_header(RecordHeader& out) {
   // Probe for EOF before committing to a record, then take the whole
   // 16-byte header in one buffered read instead of four field reads.
   if (in_->peek() == std::char_traits<char>::eof()) return false;
-  std::uint8_t bytes[16];
-  if (util::read_exact(*in_, bytes, 16) != 16) {
-    throw std::runtime_error("pcap: unexpected end of file");
+  std::uint8_t bytes[kRecordHeaderSize];
+  if (util::read_exact(*in_, bytes, kRecordHeaderSize) != kRecordHeaderSize) {
+    throw_unexpected_eof();
   }
   out = parse_record_header(bytes);
+  if (!plausible_captured(out.captured)) throw_implausible_length();
   return true;
 }
 
+bool PcapReader::plausible_captured(std::uint32_t captured) const {
+  return captured <= header_.snaplen + 65536;
+}
+
+std::size_t PcapReader::record_span(std::size_t pos) const {
+  const std::size_t left = file_.size() - pos;
+  if (left < kRecordHeaderSize) return 0;
+  const std::uint32_t captured = convert(load_u32_le(file_.data() + pos + 8));
+  if (!plausible_captured(captured)) return 0;
+  if (left - kRecordHeaderSize < captured) return 0;
+  return kRecordHeaderSize + captured;
+}
+
+void PcapReader::throw_rejected(std::size_t pos) const {
+  if (file_.size() - pos < kRecordHeaderSize) throw_unexpected_eof();
+  if (!plausible_captured(convert(load_u32_le(file_.data() + pos + 8)))) {
+    throw_implausible_length();
+  }
+  throw_truncated_record();
+}
+
+bool PcapReader::plausible_chain(std::size_t pos) const {
+  for (std::size_t i = 0; i < kChainProbe; ++i) {
+    const std::size_t span = record_span(pos);
+    if (span == 0) return false;
+    const std::uint8_t* header = file_.data() + pos;
+    if (convert(load_u32_le(header + 8)) > convert(load_u32_le(header + 12))) {
+      return false;
+    }
+    pos += span;
+  }
+  return true;
+}
+
+bool PcapReader::build_index() {
+  RecordIndex& index = *index_;
+  const std::size_t base = pos_;
+  index.base = base;
+  index.size = 0;
+  index.next = 0;
+  if (record_span(base) == 0) return false;  // EOF or a rejected record
+
+  const std::size_t window = std::min(index.window, file_.size() - base);
+  const std::size_t end = base + window;
+  struct Cursor {
+    std::size_t start;
+    std::size_t pos;
+    std::size_t stop;  // the next cursor's start, or the window end
+    std::size_t count;
+  };
+  std::array<Cursor, kCursors> cursors{};
+  std::size_t used = 1;
+  cursors[0].start = base;
+  const bool scanned = index.solo == 0;
+  if (!scanned) --index.solo;
+  for (std::size_t k = 1; scanned && k < kCursors; ++k) {
+    const std::size_t scan_from =
+        std::max(base + k * window / kCursors, cursors[used - 1].start + 1);
+    const std::size_t scan_end =
+        std::min(base + (k + 1) * window / kCursors, scan_from + index.scan);
+    for (std::size_t pos = scan_from; pos < scan_end; ++pos) {
+      if (plausible_chain(pos)) {
+        cursors[used++].start = pos;
+        break;
+      }
+    }
+  }
+  for (std::size_t c = 0; c < used; ++c) {
+    cursors[c].pos = cursors[c].start;
+    cursors[c].stop = c + 1 < used ? cursors[c + 1].start : end;
+  }
+
+  // Round-robin walk: one record per live cursor per turn. A cursor
+  // retires on reaching its stop, filling its share of the index, or
+  // meeting a record the walk rejects.
+  std::array<std::size_t, kCursors> live{};
+  for (std::size_t c = 0; c < used; ++c) live[c] = c;
+  std::size_t live_count = used;
+  while (live_count > 0) {
+    for (std::size_t i = 0; i < live_count;) {
+      Cursor& cursor = cursors[live[i]];
+      const std::size_t span = cursor.pos < cursor.stop && cursor.count < kPerCursor
+                                   ? record_span(cursor.pos)
+                                   : 0;
+      if (span == 0) {
+        live[i] = live[--live_count];
+        continue;
+      }
+      index.offsets[live[i] * kPerCursor + cursor.count++] =
+          static_cast<std::uint32_t>(cursor.pos - base);
+      cursor.pos += span;
+      ++i;
+    }
+  }
+
+  // Keep cursor c only when cursor c-1, itself kept, landed exactly on
+  // its start; compact the kept segments into one run.
+  index.size = cursors[0].count;
+  std::size_t verified_end = cursors[0].pos;
+  for (std::size_t c = 1; c < used && cursors[c - 1].pos == cursors[c].start; ++c) {
+    std::memmove(index.offsets.data() + index.size,
+                 index.offsets.data() + c * kPerCursor,
+                 cursors[c].count * sizeof(std::uint32_t));
+    index.size += cursors[c].count;
+    verified_end = cursors[c].pos;
+  }
+  if (scanned && (used == 1 || cursors[0].pos > cursors[1].start)) {
+    index.solo = kSoloWindows;
+  }
+
+  // Size the next window for kTargetPerCursor records per cursor, and
+  // its cursor-start scans, at the record size just observed.
+  const std::size_t per_record = (verified_end - base) / index.size;
+  index.window =
+      std::clamp(kCursors * kTargetPerCursor * per_record, kMinWindow, kMaxWindow);
+  index.scan = std::max(kScanRecords * per_record, kMinScan);
+  return true;
+}
+
+std::size_t PcapReader::next_views(PacketView* out, std::size_t max) {
+  if (max == 0) return 0;
+  if (in_ != nullptr) {
+    // Streaming: one view, staged until the next call.
+    const auto view = next_view();
+    if (!view) return 0;
+    out[0] = *view;
+    return 1;
+  }
+  std::size_t served = 0;
+  while (served < max) {
+    if (!index_ || index_->next == index_->size) {
+      if (pos_ == file_.size()) {
+        index_.reset();
+        break;
+      }
+      if (!index_) index_ = std::make_unique<RecordIndex>();
+      if (!build_index()) {
+        // The record at pos_ is one the walk rejects: this call returns
+        // what it holds, and the first call with nothing to return
+        // reports the record.
+        if (served == 0) throw_rejected(pos_);
+        break;
+      }
+    }
+    RecordIndex& index = *index_;
+    const std::uint8_t* base = file_.data() + index.base;
+    const std::size_t stop = std::min(index.size, index.next + (max - served));
+    const std::uint8_t* record = nullptr;
+    RecordHeader header;
+    for (std::size_t i = index.next; i < stop; ++i) {
+      if (i + kPrefetchAhead < index.size) {
+        // The pcap header line and the L2-L4 header line of a record
+        // a dozen ahead; both are the consumer's next misses.
+        const std::uint8_t* ahead = base + index.offsets[i + kPrefetchAhead];
+        __builtin_prefetch(ahead);
+        __builtin_prefetch(ahead + 64);
+      }
+      record = base + index.offsets[i];
+      header = parse_record_header(record);
+      out[served++] = PacketView(header.timestamp,
+                                 util::BytesView(record + kRecordHeaderSize,
+                                                 header.captured),
+                                 header.original);
+    }
+    index.next = stop;
+    pos_ = static_cast<std::size_t>(record - file_.data()) + kRecordHeaderSize +
+           header.captured;
+  }
+  return served;
+}
+
 std::optional<PacketView> PcapReader::next_view() {
-  if (map_.valid()) {
-    const util::BytesView file = map_.view();
-    if (map_pos_ == file.size()) return std::nullopt;
-    if (file.size() - map_pos_ < 16) {
-      throw std::runtime_error("pcap: unexpected end of file");
-    }
-    const RecordHeader record = parse_record_header(file.data() + map_pos_);
-    map_pos_ += 16;
-    if (file.size() - map_pos_ < record.captured) {
-      throw std::runtime_error("PcapReader: truncated packet record");
-    }
-    const PacketView view(record.timestamp,
-                          file.subspan(map_pos_, record.captured),
-                          record.original);
-    map_pos_ += record.captured;
-    // Start pulling the next record header now: its cache miss (the
-    // record stride defeats the hardware prefetcher) overlaps whatever
-    // the caller does with this view, instead of stalling the next call.
-    if (map_pos_ < file.size()) __builtin_prefetch(file.data() + map_pos_);
+  if (in_ == nullptr) {
+    PacketView view;
+    if (next_views(&view, 1) == 0) return std::nullopt;
     return view;
   }
 
@@ -222,13 +450,13 @@ std::optional<PacketView> PcapReader::next_view() {
   scratch_.resize(record.captured);
   if (util::read_exact(*in_, scratch_.data(), record.captured) !=
       record.captured) {
-    throw std::runtime_error("PcapReader: truncated packet record");
+    throw_truncated_record();
   }
   return PacketView(record.timestamp, scratch_, record.original);
 }
 
 std::optional<Packet> PcapReader::next() {
-  if (map_.valid()) {
+  if (in_ == nullptr) {
     const auto view = next_view();
     if (!view) return std::nullopt;
     return view->to_packet();
@@ -242,7 +470,7 @@ std::optional<Packet> PcapReader::next() {
   packet.data.resize(record.captured);
   if (util::read_exact(*in_, packet.data.data(), record.captured) !=
       record.captured) {
-    throw std::runtime_error("PcapReader: truncated packet record");
+    throw_truncated_record();
   }
   packet.original_length = record.original;
   return packet;

@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <utility>
 
 #include "wm/net/pcap.hpp"
 #include "wm/util/bytes.hpp"
@@ -142,6 +143,8 @@ PcapngReader::PcapngReader(const std::filesystem::path& path)
     throw std::runtime_error("PcapngReader: cannot open " + path.string());
   }
 }
+
+PcapngReader::PcapngReader(util::MappedFile file) : map_(std::move(file)) {}
 
 PcapngReader::PcapngReader(std::istream& in) : in_(&in) {}
 

@@ -607,8 +607,16 @@ std::optional<std::string> RecordStreamExtractor::sni_of(
 
 std::vector<FlowRecordStream> extract_record_streams(
     const std::vector<net::Packet>& packets) {
+  // Slab-decoded runs; the events are retained for finish(), so each
+  // run's copy in `events` is dropped as soon as it is produced.
+  constexpr std::size_t kRun = 256;
   RecordStreamExtractor extractor;
-  for (const net::Packet& packet : packets) extractor.add_packet(packet);
+  std::vector<StreamEvent> events;
+  for (std::size_t i = 0; i < packets.size(); i += kRun) {
+    extractor.feed_batch(packets.data() + i, std::min(kRun, packets.size() - i),
+                         events);
+    events.clear();
+  }
   return extractor.finish();
 }
 

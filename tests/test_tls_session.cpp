@@ -222,9 +222,9 @@ TEST(RecordStreamExtractor, IgnoresNonTcpTraffic) {
       SimTime::from_seconds(0), *net::MacAddress::parse("02:00:00:00:00:01"),
       *net::MacAddress::parse("02:00:00:00:00:02"), net::Ipv4Address(10, 0, 0, 1),
       net::Ipv4Address(8, 8, 8, 8), 5000, 53, util::Bytes{1, 2, 3}, 1);
-  extractor.add_packet(udp);
+  EXPECT_TRUE(extractor.feed(udp).empty());
   net::Packet garbage(SimTime::from_seconds(1), util::Bytes(10, 0xff));
-  extractor.add_packet(garbage);
+  EXPECT_TRUE(extractor.feed(garbage).empty());
   EXPECT_EQ(extractor.packets_seen(), 2u);
   EXPECT_EQ(extractor.packets_undecodable(), 1u);
   EXPECT_TRUE(extractor.finish().empty());
