@@ -1,5 +1,6 @@
 #include "drivers.hpp"
 
+#include <algorithm>
 #include <array>
 #include <optional>
 #include <sstream>
@@ -142,14 +143,45 @@ Outcome drive_tls(util::BytesView data) {
   // contiguous buffer.
   const std::size_t chunk = 1 + data[0] % 97;
   data = data.subspan(1);
+  // A twin parser is trimmed after every feed: freeing a drained
+  // buffer must not change a single record, payload byte or counter.
   tls::TlsRecordParser parser;
+  tls::TlsRecordParser trimmed;
+  std::vector<tls::TlsRecordParser::ParsedRecord> records;
+  std::vector<tls::TlsRecordParser::ParsedRecord> twin;
+  const auto compare = [&] {
+    bool same = records.size() == twin.size() &&
+                parser.bytes_consumed() == trimmed.bytes_consumed() &&
+                parser.bytes_skipped() == trimmed.bytes_skipped() &&
+                parser.buffered_bytes() == trimmed.buffered_bytes();
+    for (std::size_t i = 0; same && i < records.size(); ++i) {
+      const auto& a = records[i];
+      const auto& b = twin[i];
+      same = a.timestamp == b.timestamp && a.stream_offset == b.stream_offset &&
+             a.content_type == b.content_type && a.length == b.length &&
+             a.after_gap == b.after_gap &&
+             std::equal(a.payload.begin(), a.payload.end(), b.payload.begin(),
+                        b.payload.end());
+    }
+    if (!same) throw std::logic_error("tls trim changed the parse");  // escapes: a bug
+    records.clear();
+    twin.clear();
+  };
   std::int64_t tick = 0;
   while (!data.empty()) {
     const std::size_t take = data.size() < chunk ? data.size() : chunk;
-    (void)parser.feed(util::SimTime::from_nanos(tick++), data.first(take));
+    const util::SimTime now = util::SimTime::from_nanos(tick++);
+    parser.feed(now, data.first(take), records);
+    trimmed.feed(now, data.first(take), twin);
+    compare();
+    trimmed.trim();
     data = data.subspan(take);
   }
-  return parser.desynchronized() ? Outcome::kDesync : Outcome::kOk;
+  const bool desync = parser.desynchronized();
+  parser.flush(util::SimTime::from_nanos(tick), records);
+  trimmed.flush(util::SimTime::from_nanos(tick), twin);
+  compare();
+  return desync ? Outcome::kDesync : Outcome::kOk;
 }
 
 Outcome drive_json(util::BytesView data) {

@@ -61,7 +61,10 @@ struct MonitorConfig {
   /// Zero = never (finish() flushes everyone).
   util::Duration viewer_idle_timeout = util::Duration::seconds(120);
   /// Evict per-flow reassembly/parser state idle longer than this,
-  /// swept from the timer wheel. Zero = never.
+  /// swept from the timer wheel. Zero = never. Only an RST retires a
+  /// flow early: a flow closed with FIN keeps its state until this
+  /// sweep, about 1.2 KB once its parsers have drained (mostly its
+  /// map node; RecordStreamExtractor::memory_bytes() counts it).
   util::Duration flow_idle_timeout = util::Duration::seconds(60);
   /// Per-flow TCP reassembly tuning for the extractor.
   net::TcpStreamReassembler::Config reassembly;
@@ -72,9 +75,11 @@ struct MonitorConfig {
   /// Gap-history budget per viewer: the earliest-recorded spans fall
   /// off first.
   std::size_t max_viewer_gaps = 16;
-  /// Global budget for viewer decode state (approximate bytes; the
-  /// extractor's flow state is bounded separately by flow_idle_timeout
-  /// and the reassembly buffer budget). Crossing it sheds the
+  /// Global budget for viewer decode state (approximate bytes). The
+  /// extractor's flow state is not counted: it is bounded separately by
+  /// flow_idle_timeout and the reassembly buffer budget, so each flow
+  /// seen in the last flow_idle_timeout, FIN-closed ones included,
+  /// holds about 1.2 KB outside this budget. Crossing it sheds the
   /// oldest-idle viewers until back under. Zero = unlimited.
   std::size_t max_total_bytes = 0;
 

@@ -181,6 +181,9 @@ class TcpStreamReassembler {
   [[nodiscard]] std::size_t buffered_bytes() const { return buffered_bytes_; }
   /// Number of out-of-order segments currently held.
   [[nodiscard]] std::size_t pending_segments() const { return pending_.size(); }
+  /// Heap bytes the reassembler holds: out-of-order hold capacity, the
+  /// payloads it owns and dead-range nodes.
+  [[nodiscard]] std::size_t memory_bytes() const;
   /// True if a FIN has been delivered in-order, or the stream was
   /// flushed/reset.
   [[nodiscard]] bool finished() const { return finished_; }
@@ -296,6 +299,11 @@ class TcpConnectionReassembler {
   /// Combined live out-of-order buffer footprint of both directions.
   [[nodiscard]] std::size_t buffered_bytes() const {
     return client_.buffered_bytes() + server_.buffered_bytes();
+  }
+  /// Heap bytes held by both directions and the relabelling scratch.
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return client_.memory_bytes() + server_.memory_bytes() +
+           scratch_.capacity() * sizeof(StreamItem);
   }
 
   /// True once an RST tore the connection down.

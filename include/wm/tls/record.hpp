@@ -92,6 +92,11 @@ class TlsRecordParser {
   /// chained headers make an accidental match in ciphertext
   /// vanishingly unlikely (~2^-40 per candidate offset).
   static constexpr std::size_t kResyncChain = 3;
+  /// Buffer capacity a drained parser keeps for its next partial
+  /// record. Records that span segments are buffered, so a server's
+  /// multi-segment handshake flight grows the buffer to several KB; a
+  /// live flow would otherwise hold that for its whole life.
+  static constexpr std::size_t kKeptCapacity = 2048;
 
   /// One parsed record header plus a *view* of its payload. The parser
   /// never copies payload bytes: `payload` borrows either from the
@@ -127,10 +132,19 @@ class TlsRecordParser {
             std::vector<ParsedRecord>& out);
   std::vector<ParsedRecord> feed(util::SimTime timestamp, util::BytesView data);
 
-  /// Return the parser to its freshly-constructed state, retaining the
-  /// buffer's capacity. Used when per-flow state is recycled through a
-  /// pool; callers tracking counter deltas must re-baseline.
+  /// Return the parser to its freshly-constructed state and free its
+  /// buffers. Used when per-flow state is recycled through a pool;
+  /// callers tracking counter deltas must re-baseline.
   void reset();
+
+  /// Free the buffer once every buffered byte has been consumed, if its
+  /// capacity exceeds kKeptCapacity. Like any parser call it ends the
+  /// ParsedRecord views of the previous call, so callers run it after
+  /// they are done with them. Records, offsets and timestamps are
+  /// unaffected.
+  void trim() {
+    if (buffer_pos_ != 0) compact();
+  }
 
   /// Notify the parser that `length` stream bytes were lost at the
   /// current stream position (a reassembly StreamGap). Any partial
@@ -161,6 +175,10 @@ class TlsRecordParser {
   [[nodiscard]] std::size_t buffered_bytes() const {
     return buffer_.size() - buffer_pos_;
   }
+  /// Heap bytes the parser holds: buffer and chunk-mark capacity.
+  [[nodiscard]] std::size_t memory_bytes() const {
+    return buffer_.capacity() + marks_.capacity() * sizeof(ChunkMark);
+  }
 
  private:
   /// (absolute stream offset one past a chunk's last byte, its capture
@@ -182,9 +200,13 @@ class TlsRecordParser {
                        std::vector<ParsedRecord>& out);
   /// Deferred compaction: parse() leaves consumed bytes in place (so
   /// payload views into buffer_ survive until the next call) and only
-  /// records the consumed prefix in buffer_pos_; the next feed erases
-  /// it here before appending.
+  /// records the consumed prefix in buffer_pos_; the next feed (or
+  /// trim()) erases it here.
   void compact();
+  /// Free the buffer if it is empty and larger than kKeptCapacity.
+  /// Runs wherever the buffer empties (compact, on_gap), so an empty
+  /// buffer past that size only ever waits on a pending compaction.
+  void release_if_drained();
   /// Scan [pos, buffer_.end()) for a validated record header. Advances
   /// `pos` over skipped bytes. Returns true when re-locked at `pos`.
   [[nodiscard]] bool try_resync(std::size_t& pos, bool relaxed);

@@ -195,6 +195,11 @@ class RecordStreamExtractor {
   [[nodiscard]] std::uint64_t tls_resyncs() const { return tls_resyncs_total_; }
   /// Sum of live out-of-order reassembly buffers across active flows.
   [[nodiscard]] std::size_t buffered_reassembly_bytes() const;
+  /// Heap bytes of flow state: map nodes (the arena's live bytes), the
+  /// flow index, parser and reassembly capacities, retained events and
+  /// pooled shells. Walks every flow, so it is for tests and
+  /// diagnostics, not for the per-packet path.
+  [[nodiscard]] std::size_t memory_bytes() const;
   /// The SNI observed on a flow, if its ClientHello has been parsed.
   [[nodiscard]] std::optional<std::string> sni_of(const net::FlowKey& flow) const;
 
@@ -322,9 +327,9 @@ class RecordStreamExtractor {
   std::vector<IndexSlot> index_;
   std::size_t index_live_ = 0;
   std::size_t index_tombstones_ = 0;
-  /// Retired PerFlow shells (parsers reset, vectors cleared but with
-  /// capacity retained) awaiting reuse, so steady-state flow churn
-  /// stops paying buffer reallocation.
+  /// Retired PerFlow shells (parsers reset, event vector cleared but
+  /// with its capacity retained) awaiting reuse, so steady-state flow
+  /// churn stops paying for fresh flow state.
   std::vector<PerFlow> pool_;
   /// Scratch reused across packets by the slow reassembly path.
   std::vector<net::TcpConnectionReassembler::DirectedItem> items_scratch_;

@@ -386,6 +386,17 @@ void TcpStreamReassembler::drain(util::SimTime timestamp, bool condemn_all,
   }
 }
 
+std::size_t TcpStreamReassembler::memory_bytes() const {
+  // A std::map node is the value plus a red-black header: colour and
+  // three links.
+  constexpr std::size_t kDeadNode =
+      sizeof(std::pair<const std::uint64_t, DeadRange>) + 4 * sizeof(void*);
+  std::size_t total =
+      pending_.capacity() * sizeof(Pending) + dead_.size() * kDeadNode;
+  for (const Pending& piece : pending_) total += piece.data.capacity();
+  return total;
+}
+
 void TcpConnectionReassembler::on_segment(
     FlowDirection direction, util::SimTime timestamp, std::uint32_t sequence,
     bool syn, bool fin, bool rst, util::BytesView payload,

@@ -180,6 +180,13 @@ void TlsRecordParser::compact() {
   while (!marks_.empty() && marks_.front().end <= buffer_start_) {
     marks_.erase(marks_.begin());
   }
+  release_if_drained();
+}
+
+void TlsRecordParser::release_if_drained() {
+  if (buffer_.empty() && buffer_.capacity() > kKeptCapacity) {
+    util::Bytes().swap(buffer_);
+  }
 }
 
 void TlsRecordParser::parse(util::SimTime timestamp, bool relaxed,
@@ -350,20 +357,7 @@ void TlsRecordParser::feed_contiguous(util::SimTime timestamp,
   }
 }
 
-void TlsRecordParser::reset() {
-  buffer_.clear();
-  buffer_pos_ = 0;
-  skip_remaining_ = 0;
-  skip_consumed_ = 0;
-  marks_.clear();
-  consumed_ = 0;
-  buffer_start_ = 0;
-  skipped_ = 0;
-  records_parsed_ = 0;
-  resyncs_ = 0;
-  scanning_ = false;
-  pending_after_gap_ = false;
-}
+void TlsRecordParser::reset() { *this = TlsRecordParser(); }
 
 void TlsRecordParser::on_gap(util::SimTime, std::uint64_t length) {
   // A partial record — buffered or mid-skip — can never complete
@@ -377,6 +371,7 @@ void TlsRecordParser::on_gap(util::SimTime, std::uint64_t length) {
   skip_consumed_ = 0;
   buffer_start_ += buffer_.size() + length;
   buffer_.clear();
+  release_if_drained();
   buffer_pos_ = 0;
   marks_.clear();
   scanning_ = true;

@@ -256,6 +256,7 @@ void RecordStreamExtractor::feed_tcp(util::SimTime timestamp,
   for (TlsRecordParser::ParsedRecord& parsed : parsed_scratch_) {
     emit_record(it->first, state, direction, parsed, out);
   }
+  parser.trim();  // the records' payload views are done with
   sync_tls_counters(state);
 }
 
@@ -346,7 +347,8 @@ RecordStreamExtractor::FlowMap::iterator RecordStreamExtractor::erase_flow(
       }
     }
   }
-  // Recycle the shell: content dropped, buffer capacities retained.
+  // Recycle the shell: content dropped, parser buffers freed, the
+  // event vector's capacity retained.
   PerFlow shell = std::move(it->second);
   if (pool_.size() < kFlowPoolCap) {
     shell.reassembler = net::TcpConnectionReassembler(config_.reassembly);
@@ -431,6 +433,9 @@ void RecordStreamExtractor::process_items(
       emit_record(key, state, directed.direction, parsed, out);
     }
   }
+  // The records' payload views are done with.
+  state.client_parser.trim();
+  state.server_parser.trim();
 }
 
 void RecordStreamExtractor::emit_record(const net::FlowKey& key, PerFlow& state,
@@ -596,6 +601,25 @@ std::vector<FlowRecordStream> RecordStreamExtractor::finish() {
 std::size_t RecordStreamExtractor::buffered_reassembly_bytes() const {
   std::size_t total = 0;
   for (const auto& [key, state] : flows_) total += state.reassembler.buffered_bytes();
+  return total;
+}
+
+std::size_t RecordStreamExtractor::memory_bytes() const {
+  const auto held = [](const PerFlow& state) {
+    std::size_t bytes = state.reassembler.memory_bytes() +
+                        state.client_parser.memory_bytes() +
+                        state.server_parser.memory_bytes() +
+                        state.events.capacity() * sizeof(RecordEvent);
+    if (state.sni && state.sni->capacity() > std::string().capacity()) {
+      bytes += state.sni->capacity() + 1;  // past the small-string buffer
+    }
+    return bytes;
+  };
+  std::size_t total = arena_->stats().live_bytes +
+                      index_.capacity() * sizeof(IndexSlot) +
+                      pool_.capacity() * sizeof(PerFlow);
+  for (const auto& [key, state] : flows_) total += held(state);
+  for (const PerFlow& shell : pool_) total += held(shell);
   return total;
 }
 

@@ -59,10 +59,13 @@ MappedFile MappedFile::open(const std::filesystem::path& path) {
   }
   int flags = MAP_PRIVATE;
 #ifdef MAP_POPULATE
-  // Every consumer sweeps the whole file front to back, so prefault the
-  // page tables in one batched kernel pass instead of taking a soft
-  // fault every 4 KiB of the parse loop (for page-cache-resident
-  // captures the faults, not the parsing, would dominate).
+  // Every consumer sweeps the whole file front to back, so the page
+  // tables are filled in one kernel pass up front. For page-cache-
+  // resident captures this is neutral, not a win: the kernel's
+  // fault-around maps 16 pages per soft fault, so a front-to-back walk
+  // takes the same few faults either way (174 for an 11 MB trace), and
+  // map + walk + unmap costs about the same with or without the flag
+  // (DESIGN.md §3.3).
   flags |= MAP_POPULATE;
 #endif
   void* addr = mmap(nullptr, static_cast<std::size_t>(st.st_size), PROT_READ,

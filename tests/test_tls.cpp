@@ -1,6 +1,8 @@
 // TLS record framing, handshake messages, cipher length model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "wm/tls/cipher.hpp"
 #include "wm/tls/handshake.hpp"
 #include "wm/tls/record.hpp"
@@ -199,6 +201,59 @@ TEST(TlsRecordParser, EmptyRecordAllowed) {
   const auto records = parser.feed(SimTime::from_seconds(0), wire);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].length, 0u);
+}
+
+TEST(TlsRecordParser, DrainedBufferIsFreed) {
+  // A server's handshake flight is one record spanning several TCP
+  // segments, so the parser buffers it and the buffer grows well past
+  // kKeptCapacity. Once the record is out and its payload read, trim()
+  // frees that buffer; reset() leaves nothing at all.
+  TlsRecord flight = make_record(ContentType::kHandshake, 4400);
+  for (std::size_t i = 0; i < flight.payload.size(); ++i) {
+    flight.payload[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  const Bytes wire = serialize_records({flight});
+  const util::BytesView view(wire);
+  constexpr std::size_t kSegment = 1448;
+  TlsRecordParser parser;
+  std::vector<TlsRecordParser::ParsedRecord> records;
+  for (std::size_t at = 0; at < 3 * kSegment; at += kSegment) {
+    parser.feed(SimTime::from_seconds(1), view.subspan(at, kSegment), records);
+  }
+  EXPECT_TRUE(records.empty());
+  parser.feed(SimTime::from_seconds(2), view.subspan(3 * kSegment), records);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].timestamp, SimTime::from_seconds(2));
+  EXPECT_EQ(records[0].length, 4400u);
+  // The payload borrows the buffer until the next parser call.
+  EXPECT_TRUE(std::equal(records[0].payload.begin(), records[0].payload.end(),
+                         flight.payload.begin(), flight.payload.end()));
+  EXPECT_GT(parser.memory_bytes(), TlsRecordParser::kKeptCapacity);
+
+  parser.trim();
+  EXPECT_LE(parser.memory_bytes(), TlsRecordParser::kKeptCapacity);
+  EXPECT_EQ(parser.buffered_bytes(), 0u);
+  // Offsets run on across the freed buffer.
+  const Bytes next =
+      serialize_records({make_record(ContentType::kApplicationData, 300)});
+  const auto after = parser.feed(SimTime::from_seconds(3), next);
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].stream_offset, wire.size());
+  EXPECT_EQ(after[0].length, 300u);
+
+  // A half-buffered record: trim() keeps it, a gap drops and frees it.
+  parser.feed(SimTime::from_seconds(4), view.subspan(0, 2 * kSegment), records);
+  parser.trim();
+  EXPECT_EQ(parser.buffered_bytes(), 2 * kSegment);
+  EXPECT_GT(parser.memory_bytes(), TlsRecordParser::kKeptCapacity);
+  parser.on_gap(SimTime::from_seconds(5), 100);
+  EXPECT_LE(parser.memory_bytes(), TlsRecordParser::kKeptCapacity);
+  // reset() leaves nothing at all.
+  parser.feed(SimTime::from_seconds(6), view.subspan(0, 2 * kSegment), records);
+  EXPECT_GT(parser.memory_bytes(), TlsRecordParser::kKeptCapacity);
+  parser.reset();
+  EXPECT_EQ(parser.memory_bytes(), 0u);
+  EXPECT_EQ(parser.bytes_consumed(), 0u);
 }
 
 TEST(ContentTypeHelpers, Names) {

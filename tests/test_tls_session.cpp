@@ -2,6 +2,11 @@
 // synthesized connection.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
+#include "wm/core/engine/source.hpp"
+#include "wm/monitor/workload.hpp"
 #include "wm/net/packet_builder.hpp"
 #include "wm/tls/handshake.hpp"
 #include "wm/tls/record_stream.hpp"
@@ -103,12 +108,13 @@ class RecordStreamTest : public ::testing::Test {
   /// Build a full connection: handshakes + app data both ways.
   std::vector<net::Packet> build_connection(
       std::vector<std::size_t> client_sizes,
-      std::vector<std::size_t> server_sizes) {
+      std::vector<std::size_t> server_sizes, std::uint16_t client_port = 51000,
+      bool close = true) {
     TlsSession session(firefox_config(), util::Rng(9));
     net::TcpEndpointConfig client;
     client.mac = *net::MacAddress::parse("02:00:00:00:00:01");
     client.ip = net::Ipv4Address(10, 0, 0, 2);
-    client.port = 51000;
+    client.port = client_port;
     net::TcpEndpointConfig server = client;
     server.mac = *net::MacAddress::parse("02:00:00:00:00:02");
     server.ip = net::Ipv4Address(198, 45, 48, 10);
@@ -137,7 +143,7 @@ class RecordStreamTest : public ::testing::Test {
                 serialize_records(session.seal_application_data(size)));
       t += Duration::millis(15);
     }
-    conn.close(t, Duration::millis(20));
+    if (close) conn.close(t, Duration::millis(20));
     return conn.take_packets();
   }
 };
@@ -216,6 +222,30 @@ TEST_F(RecordStreamTest, SurvivesRetransmission) {
             1u);
 }
 
+TEST_F(RecordStreamTest, FlowQuietAfterHandshakeHoldsNoBuffer) {
+  // The server sends its multi-segment handshake flight and then
+  // nothing, so no later server feed would free the parser buffer that
+  // flight grew: the extractor's trim after its emit loop must.
+  RecordStreamExtractor extractor;
+  std::vector<StreamEvent> events;
+  constexpr std::size_t kFlows = 512;
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    const auto packets = build_connection(
+        {470}, {}, static_cast<std::uint16_t>(20000 + i), /*close=*/false);
+    extractor.feed_batch(packets.data(), packets.size(), events);
+  }
+  ASSERT_EQ(extractor.active_flows(), kFlows);
+  EXPECT_LE(extractor.memory_bytes() / kFlows, 1536u);
+  const auto streams = extractor.finish();
+  ASSERT_EQ(streams.size(), kFlows);
+  for (const FlowRecordStream& stream : streams) {
+    EXPECT_EQ(stream.sni, "occ-0-2433-2430.1.nflxvideo.net");
+    EXPECT_EQ(stream.count(FlowDirection::kClientToServer,
+                           ContentType::kApplicationData),
+              1u);
+  }
+}
+
 TEST(RecordStreamExtractor, IgnoresNonTcpTraffic) {
   RecordStreamExtractor extractor;
   const net::Packet udp = net::build_udp_packet(
@@ -228,6 +258,62 @@ TEST(RecordStreamExtractor, IgnoresNonTcpTraffic) {
   EXPECT_EQ(extractor.packets_seen(), 2u);
   EXPECT_EQ(extractor.packets_undecodable(), 1u);
   EXPECT_TRUE(extractor.finish().empty());
+}
+
+TEST(RecordStreamExtractor, LiveFlowStateStaysSmallAndEventsUnchanged) {
+  // 1,000 synthetic sessions, each closed with FIN, so every flow stays
+  // live (no idle timeout here). Each server handshake flight spans
+  // several segments and goes through the parser's buffer; once
+  // drained, that buffer must be freed rather than kept for the flow's
+  // whole life. Online configuration: events are not retained.
+  monitor::WorkloadConfig workload;
+  workload.sessions = 1000;
+  workload.concurrency = 64;
+  monitor::SyntheticFleetSource fleet(workload);
+  RecordStreamExtractor::Config config;
+  config.retain_events = false;
+
+  RecordStreamExtractor reference(config);
+  std::vector<StreamEvent> expected;
+  const std::vector<net::Packet>& session = fleet.session_template();
+  reference.feed_batch(session.data(), session.size(), expected);
+  ASSERT_EQ(reference.active_flows(), 1u);
+  const std::optional<std::string> sni = reference.sni_of(expected.front().flow);
+  ASSERT_TRUE(sni.has_value());
+
+  RecordStreamExtractor extractor(config);
+  std::vector<StreamEvent> events;
+  engine::PacketBatch batch;
+  while (fleet.read_batch(batch, 256) != 0) {
+    extractor.feed_batch(batch.begin(), batch.size(), events);
+  }
+  ASSERT_EQ(extractor.active_flows(), workload.sessions);
+  EXPECT_LE(extractor.memory_bytes() / extractor.active_flows(), 1536u);
+
+  // Every session yields the template's events, shifted in time only,
+  // and its SNI (read through a borrowed handshake payload).
+  std::map<net::FlowKey, std::vector<RecordEvent>> by_flow;
+  for (const StreamEvent& event : events) {
+    ASSERT_EQ(event.kind, StreamEvent::Kind::kRecord);
+    by_flow[event.flow].push_back(event.event);
+  }
+  ASSERT_EQ(by_flow.size(), workload.sessions);
+  for (const auto& [flow, got] : by_flow) {
+    EXPECT_EQ(extractor.sni_of(flow), sni);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      const RecordEvent& want = expected[i].event;
+      EXPECT_EQ(got[i].direction, want.direction);
+      EXPECT_EQ(got[i].content_type, want.content_type);
+      EXPECT_EQ(got[i].record_length, want.record_length);
+      EXPECT_EQ(got[i].stream_offset, want.stream_offset);
+      EXPECT_EQ(got[i].after_gap, want.after_gap);
+      EXPECT_EQ(got[i].timestamp - got[0].timestamp,
+                want.timestamp - expected[0].event.timestamp);
+    }
+  }
+  EXPECT_TRUE(extractor.flush().empty());
+  EXPECT_TRUE(reference.flush().empty());
 }
 
 }  // namespace
