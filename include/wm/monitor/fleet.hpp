@@ -6,24 +6,34 @@
 // Topology: M packet sources fan into N shards over M×N batched SPSC
 // rings (one ring per (source, shard) pair, so every ring keeps exactly
 // one producer and one consumer and the engine's lock-free handoff
-// applies unchanged). Each source is driven by a pump — a thread
-// spawned by attach(), or the caller's thread via consume() — that
-// routes every packet by net::viewer_shard_hash, so all traffic from
-// one subscriber address lands on one shard. Each shard worker owns a
-// full private ContinuousMonitor (its own TimerWheel, flow/viewer
-// state, LRU arena): no locks on the inference path, no shared state
-// between shards. Workers feed each drained run through
+// applies unchanged). Each source slot has one router that sends every
+// packet by net::viewer_shard_hash, so all traffic from one subscriber
+// address lands on one shard. Who drives the router depends on the
+// source:
+//
+//   PacketSource  --pump thread (attach) or caller (consume)--> router
+//   InjectableTap --the producer's own inject calls (attach)-->  router
+//   router --per-shard sub-batches--> shard rings --> shard workers
+//
+// A pull source is drained by a pump: a thread spawned by attach(), or
+// the caller's thread via consume(). A tap bound by attach(tap) needs
+// no thread: its producer routes on inject, straight into the shard
+// rings, so a tapped packet crosses one thread hop instead of two.
+// Each shard worker owns a full private ContinuousMonitor (its own
+// TimerWheel, flow/viewer state, LRU arena): no locks on the inference
+// path, no shared state between shards. Workers feed each drained run through
 // ContinuousMonitor::feed_batch and send the packets' buffers back to
-// their pump over a twin return ring, so once warm the data plane
-// allocates nothing per packet (FleetStats::buffers_allocated).
+// their pump over a twin return ring, so once warm a pump allocates
+// nothing per packet (FleetStats::buffers_allocated); a bound tap's
+// producer hands its own buffers over.
 //
 // ORDERING. A shard's wheel is shared by its viewers, so the worker
 // must feed it in (approximately) capture-time order even when packets
 // arrive over M independent rings. The worker runs a K-way timestamp
 // merge with per-ring low-bound watermarks: a packet is fed once no
-// open ring could still deliver an earlier one. Each pump publishes,
+// open ring could still deliver an earlier one. Each router publishes,
 // per ring, the timestamp of the next packet it has yet to push there,
-// and a pump whose rings are full parks on the ring whose next packet
+// and a router whose rings are full parks on the ring whose next packet
 // is its oldest; so full rings never leave workers waiting on each
 // other in a cycle. Sources are assumed
 // time-ordered individually (captures and taps are); a ring that stays
@@ -42,8 +52,8 @@
 //
 // SHUTDOWN CONTRACT. Every attached source must reach end-of-stream
 // (e.g. InjectableTap::close()) before finish() or destruction; both
-// join the pump threads, and a pump blocked inside a source that never
-// ends cannot be interrupted from here.
+// join the pump threads and wait for every bound tap's close(), and a
+// source that never ends cannot be interrupted from here.
 #pragma once
 
 #include <cstddef>
@@ -60,6 +70,8 @@
 
 namespace wm::monitor {
 
+class InjectableTap;
+
 struct FleetConfig {
   /// Worker threads, each owning one ContinuousMonitor shard.
   std::size_t shards = 1;
@@ -67,11 +79,13 @@ struct FleetConfig {
   /// calls combined must not exceed this).
   std::size_t sources = 1;
   /// Per-(source, shard) ring capacity in packets (rounded up to a
-  /// power of two). Full rings park the pump — backpressure, not loss.
-  /// Each ring has a twin running back from the shard to the pump that
-  /// carries fed packets' buffers home for reuse, so a source keeps at
-  /// most about shards × 2 × (ring_capacity + batch) packet buffers
-  /// alive, however long it runs. A full ring is resident memory (a
+  /// power of two); a bound tap uses these rings, not its own. Full
+  /// rings park the pump or the tap's producer — backpressure, not
+  /// loss. Each ring has a twin running back from the shard to the pump
+  /// that carries fed packets' buffers home for reuse, so a source keeps
+  /// at most about shards × 2 × (ring_capacity + batch) packet buffers
+  /// alive, however long it runs (a bound tap takes none back: its twin
+  /// fills once, then the worker frees what it feeds). A full ring is resident memory (a
   /// slot holds a frame, up to ~1.5 KB), and a pump that reuses buffers
   /// outruns a shard on one viewer's burst, so the default is four
   /// batches deep: enough slack that the pump rarely parks.
@@ -110,12 +124,23 @@ struct FleetStats {
   /// Times a shard gave up waiting on a silent source (see
   /// FleetConfig::merge_wait).
   std::uint64_t merge_deferrals = 0;
-  /// Times a pump found a shard ring full and had to park.
+  /// Times a pump or bound tap found a shard ring full and had to
+  /// wait on it.
   std::uint64_t backpressure_waits = 0;
   /// Packet buffers the pumps had to take fresh because no returned
   /// buffer was waiting. Grows while the data plane warms up, then
   /// stays flat: steady-state reads reuse returned buffers.
   std::uint64_t buffers_allocated = 0;
+  /// Sleeps on one shard's inbound packet rings (util::SpscRing's slow
+  /// path): `producer` counts a pump or bound tap parked on a full
+  /// ring, `consumer` the worker parked on an empty one. Only a
+  /// one-source fleet's worker parks; a merging worker polls instead.
+  struct RingParks {
+    std::uint64_t producer = 0;
+    std::uint64_t consumer = 0;
+  };
+  /// Indexed by shard.
+  std::vector<RingParks> ring_parks;
 
   [[nodiscard]] std::string to_string() const;
 };
@@ -179,10 +204,11 @@ class MonitorFleet {
   /// MonitorFleet clause of the EventSink thread-safety contract.
   MonitorFleet(const core::RecordClassifier& classifier,
                FleetConfig config = {}, engine::EventSink* sink = nullptr);
-  /// Joins pumps and workers. Prefer finish(); destruction without it
-  /// still drains the rings but skips the shutdown flush (no final
-  /// window settles, no kShutdown evictions), and still requires every
-  /// attached source to end (shutdown contract).
+  /// Joins pumps and workers after every bound tap has closed. Prefer
+  /// finish(); destruction without it still drains the rings but skips
+  /// the shutdown flush (no final window settles, no kShutdown
+  /// evictions), and still requires every attached source to end
+  /// (shutdown contract).
   ~MonitorFleet();
 
   MonitorFleet(const MonitorFleet&) = delete;
@@ -194,6 +220,18 @@ class MonitorFleet {
   /// finish().
   void attach(engine::PacketSource& source);
 
+  /// Bind `tap` to a source slot; no thread is spawned. From here on the
+  /// tap's inject calls route on the producer's thread straight into
+  /// the slot's shard rings (same hash, floors and backpressure as a
+  /// pump). Its close() ends the slot: a closed tap never touches the
+  /// fleet again, so either may be destroyed first. Packets queued in
+  /// the tap before the bind are routed first. Bind before the producer
+  /// starts injecting and before any thread may close the tap. Throws
+  /// std::logic_error like attach(PacketSource&), and for a tap bound
+  /// before. To have a pump pull a tap instead, pass it as an
+  /// engine::PacketSource&.
+  void attach(InjectableTap& tap);
+
   /// Pump `source` to exhaustion on the calling thread (same routing,
   /// same source-slot accounting as attach()). Returns packets routed.
   std::size_t consume(engine::PacketSource& source);
@@ -202,11 +240,12 @@ class MonitorFleet {
   /// Workers may still be draining rings; finish() is the barrier.
   [[nodiscard]] bool drained() const;
 
-  /// End of monitoring: join the pumps (blocks until every source
-  /// ends), drain and close the rings, advance every shard to the
-  /// fleet-wide last capture instant (so idle evictions fire exactly
-  /// as a single monitor's would), finish the shards serially, flush
-  /// the ordering collector if any, and aggregate. Idempotent.
+  /// End of monitoring: join the pumps and wait for every bound tap to
+  /// close (blocks until every source ends), drain and close the
+  /// rings, advance every shard to the fleet-wide last capture instant
+  /// (so idle evictions fire exactly as a single monitor's would),
+  /// finish the shards serially, flush the ordering collector if any,
+  /// and aggregate. Idempotent.
   FleetStats finish();
 
   [[nodiscard]] std::size_t shard_count() const;

@@ -11,7 +11,10 @@
 //    the monitor thread consumes them through the ordinary
 //    PacketSource pull interface. Backed by the engine's SPSC ring,
 //    so the handoff is lock-free in the steady state and applies
-//    backpressure when the monitor falls behind.
+//    backpressure when the monitor falls behind. Bound to a
+//    MonitorFleet (MonitorFleet::attach(InjectableTap&)), the tap
+//    skips its ring: inject routes on the producer's thread straight
+//    into the fleet's shard rings.
 //
 //  * TimedReplaySource — timing-faithful replay. Wraps any inner
 //    source and paces delivery by the original capture timestamps at
@@ -20,8 +23,10 @@
 //    to drive the monitor the way a live vantage point would.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -32,10 +37,23 @@
 
 namespace wm::monitor {
 
+class MonitorFleet;
+namespace detail {
+class SourceRoute;
+}
+
 /// In-process packet tap: one producer thread injects, one consumer
 /// thread (the monitor driver) pulls through PacketSource. Exactly one
 /// thread may call the inject side and exactly one the source side —
 /// the underlying ring is SPSC by contract.
+///
+/// A tap bound to a fleet (MonitorFleet::attach(InjectableTap&)) has
+/// no consumer: the inject calls route into the fleet's shard rings,
+/// sized by FleetConfig::ring_capacity, and park when those are full.
+/// Its pull side sees only end-of-stream, once the tap closes. close()
+/// ends the fleet's source slot, from any thread; from then on the tap
+/// never touches the fleet, so either may be destroyed first. A tap
+/// binds once.
 class InjectableTap final : public engine::PacketSource {
  public:
   /// `capacity` bounds in-flight packets (rounded up to a power of
@@ -45,23 +63,24 @@ class InjectableTap final : public engine::PacketSource {
   // --- producer side ---------------------------------------------------
   /// Blocking inject. False only when the tap was closed first (the
   /// packet is dropped then).
-  bool inject(net::Packet packet) { return ring_.push(std::move(packet)); }
-  /// Non-blocking inject. False when the ring is full.
-  [[nodiscard]] bool try_inject(net::Packet& packet) {
-    return ring_.try_push(packet);
-  }
+  bool inject(net::Packet packet);
+  /// Non-blocking inject. False when the ring is full or the tap is
+  /// closed; the packet is left untouched then, and moved-from when
+  /// accepted.
+  [[nodiscard]] bool try_inject(net::Packet& packet);
   /// Blocking batch inject; returns packets accepted (short only when
   /// the tap closes mid-batch). Packets [0, n) are moved-from.
-  std::size_t inject_batch(net::Packet* packets, std::size_t count) {
-    return ring_.push_n(packets, count);
-  }
-  /// End the stream: the consumer drains what is queued, then sees
-  /// end-of-stream; blocked producers unblock.
-  void close() { ring_.close(); }
+  std::size_t inject_batch(net::Packet* packets, std::size_t count);
+  /// End the stream, from any thread: the consumer drains what is
+  /// queued, then sees end-of-stream; blocked producers unblock. Bound,
+  /// the fleet's workers drain the shard rings, and the call returns
+  /// once any inject still running on the producer has returned (it
+  /// may return short), then ends the fleet's source slot.
+  void close();
   [[nodiscard]] bool closed() const { return ring_.closed(); }
-  [[nodiscard]] std::size_t queued_approx() const {
-    return ring_.size_approx();
-  }
+  /// Packets injected and not yet taken by the consumer (bound: the
+  /// packets in the slot's shard rings, 0 once closed). Any thread.
+  [[nodiscard]] std::size_t queued_approx() const;
 
   // --- consumer side (PacketSource) ------------------------------------
   /// Blocks until a packet arrives or the tap is closed and drained.
@@ -72,9 +91,22 @@ class InjectableTap final : public engine::PacketSource {
                                        std::size_t max) override;
 
  private:
+  friend class MonitorFleet;  // binds route_
+  class RouteUse;
+
   util::SpscRing<net::Packet> ring_;
   /// Batch-pop staging; slot buffers recycle through the ring via move.
   std::vector<net::Packet> scratch_;
+  /// The fleet source slot the tap is bound to; null when unbound. Set
+  /// once, by the bind, before the producer starts; read through a
+  /// RouteUse only, since the slot is gone once the tap has closed and
+  /// its fleet is destroyed.
+  detail::SourceRoute* route_ = nullptr;
+  /// Calls on route_ in flight, plus kRouteClosed once close() has
+  /// begun. close() waits for the count to fall to zero before it ends
+  /// the slot, so no call can touch a route the fleet may free.
+  static constexpr std::uint32_t kRouteClosed = 1u << 31;
+  mutable std::atomic<std::uint32_t> route_calls_{0};
 };
 
 /// Paces an inner source by its capture timestamps: packet k is

@@ -19,6 +19,10 @@
 // Thread roles are a contract: try_push/push from the one producer
 // thread, try_pop/pop from the one consumer thread. close() may be
 // called from the producer (or an owner) and wakes both sides.
+//
+// Each side counts the parks that actually slept (producer_parks(),
+// consumer_parks()); the count lives on the slow path only, so a ring
+// that never parks pays nothing for it.
 #pragma once
 
 #include <atomic>
@@ -70,7 +74,7 @@ class SpscRing {
     for (;;) {
       if (closed_.load(std::memory_order_acquire)) return false;
       if (try_push(value)) return true;
-      park(producer_parked_, producer_cv_,
+      park(producer_parked_, producer_cv_, producer_parks_,
            [this] { return !full() || closed_.load(std::memory_order_relaxed); });
     }
   }
@@ -107,7 +111,7 @@ class SpscRing {
       if (closed_.load(std::memory_order_acquire)) break;
       done += try_push_n(values + done, count - done);
       if (done == count) break;
-      park(producer_parked_, producer_cv_,
+      park(producer_parked_, producer_cv_, producer_parks_,
            [this] { return !full() || closed_.load(std::memory_order_relaxed); });
     }
     return done;
@@ -157,7 +161,7 @@ class SpscRing {
         // cannot miss it.
         return try_pop(out);
       }
-      park(consumer_parked_, consumer_cv_,
+      park(consumer_parked_, consumer_cv_, consumer_parks_,
            [this] { return !empty() || closed_.load(std::memory_order_relaxed); });
     }
   }
@@ -175,6 +179,15 @@ class SpscRing {
 
   [[nodiscard]] bool closed() const noexcept {
     return closed_.load(std::memory_order_acquire);
+  }
+
+  /// Times the producer (consumer) slept on a full (empty) ring. Each
+  /// counter has one writer, its side's thread; any thread may read.
+  [[nodiscard]] std::uint64_t producer_parks() const noexcept {
+    return producer_parks_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t consumer_parks() const noexcept {
+    return consumer_parks_.load(std::memory_order_relaxed);
   }
 
   /// Approximate occupancy (exact only from a quiesced ring).
@@ -196,11 +209,15 @@ class SpscRing {
 
   template <typename Ready>
   void park(std::atomic<bool>& parked_flag, std::condition_variable_any& cv,
-            Ready ready) WM_EXCLUDES(park_mutex_) {
+            std::atomic<std::uint64_t>& parks, Ready ready)
+      WM_EXCLUDES(park_mutex_) {
     UniqueLock lock(park_mutex_);
     parked_flag.store(true, std::memory_order_seq_cst);
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (!ready()) {
+      // Only the parking side writes its counter: no read-modify-write.
+      parks.store(parks.load(std::memory_order_relaxed) + 1,
+                  std::memory_order_relaxed);
       // Timed backstop: a missed edge costs a blip, never a deadlock.
       cv.wait_for(lock, std::chrono::milliseconds(10), ready);
     }
@@ -223,8 +240,10 @@ class SpscRing {
 
   alignas(64) std::atomic<std::uint64_t> head_{0};  // consumer cursor
   std::uint64_t tail_cache_ = 0;                    // consumer-owned
+  std::atomic<std::uint64_t> consumer_parks_{0};    // consumer-owned
   alignas(64) std::atomic<std::uint64_t> tail_{0};  // producer cursor
   std::uint64_t head_cache_ = 0;                    // producer-owned
+  std::atomic<std::uint64_t> producer_parks_{0};    // producer-owned
   alignas(64) std::atomic<bool> closed_{false};
 
   // Park/unpark edge only; never touched on the lock-free fast path.

@@ -5,21 +5,65 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
+#include "source_route.hpp"
+#include "wm/monitor/live_source.hpp"
 #include "wm/net/flow.hpp"
 #include "wm/util/spsc_ring.hpp"
 #include "wm/util/thread_annotations.hpp"
 
 namespace wm::monitor {
 
-namespace {
+namespace detail {
 
 constexpr std::int64_t kNoTime = std::numeric_limits<std::int64_t>::min();
+
+/// One (source, shard) pair: the ring carrying packets from the
+/// source's route to the shard's worker, its twin carrying the fed
+/// packets' buffers back for reuse, and the route's floor. Each ring
+/// keeps exactly one producer and one consumer.
+struct Link {
+  /// Between two of its route's reclaims a worker hands back at most a
+  /// full packet ring, its staged batch and the one batch the route
+  /// pushes meanwhile; sized for that, the buffer ring never makes a
+  /// pump's worker free a buffer. A bound tap's route never reclaims:
+  /// its buffer rings fill once, then its workers free what they feed.
+  Link(std::size_t capacity, std::size_t batch)
+      : packets(capacity), buffers(packets.capacity() + 2 * batch) {}
+  util::SpscRing<net::Packet> packets;  // route -> worker
+  util::SpscRing<util::Bytes> buffers;  // worker -> route
+  /// The route's promise (nanos): no packet older than this is still
+  /// to be pushed here. Stored after the pushes it covers, so a worker
+  /// that loads it before popping also sees those packets.
+  std::atomic<std::int64_t> floor{kNoTime};
+};
+
+/// Fleet-wide tallies; each route adds its own once, when it closes.
+struct RouteTotals {
+  std::atomic<std::uint64_t> packets{0};
+  std::atomic<std::uint64_t> unroutable{0};
+  std::atomic<std::uint64_t> backpressure{0};
+  std::atomic<std::uint64_t> buffers_allocated{0};
+  /// Routes closed so far. Its release increment pairs with
+  /// MonitorFleet::drained()'s acquire load, so a true `drained`
+  /// implies the tallies above it are visible.
+  std::atomic<std::size_t> sources_done{0};
+};
+
+}  // namespace detail
+
+using detail::kNoTime;
+using detail::Link;
+using detail::SourceRoute;
+
+namespace {
+
 /// Poll slice for a shard worker waiting on its rings. The merge loop
 /// cannot park on one ring while watching M of them, so it polls; a
 /// slice this short is invisible next to merge_wait (default 20ms) and
@@ -36,7 +80,12 @@ std::string FleetStats::to_string() const {
       << " unroutable=" << packets_unroutable
       << " merge_deferrals=" << merge_deferrals
       << " backpressure_waits=" << backpressure_waits
-      << " buffers_allocated=" << buffers_allocated << " | "
+      << " buffers_allocated=" << buffers_allocated << " parks=";
+  for (std::size_t d = 0; d < ring_parks.size(); ++d) {
+    out << (d == 0 ? "" : ",") << ring_parks[d].producer << '/'
+        << ring_parks[d].consumer;
+  }
+  out << " | "
       << totals.to_string();
   return out.str();
 }
@@ -250,28 +299,151 @@ std::size_t OrderingCollector::pending() const {
   return impl_->buffer.size();
 }
 
+// --- SourceRoute ----------------------------------------------------------
+
+std::optional<std::size_t> SourceRoute::shard_of(const net::Packet& packet) const {
+  const auto hash = net::viewer_shard_hash(packet);
+  if (!hash.has_value()) return std::nullopt;
+  return static_cast<std::size_t>(*hash % row_.size());
+}
+
+void SourceRoute::reclaim() {
+  for (Link* link : row_) {
+    const std::size_t ready = link->buffers.size_approx();
+    if (ready == 0) continue;
+    const std::size_t have = spare_.size();
+    spare_.resize(have + ready);
+    spare_.resize(have + link->buffers.try_pop_n(spare_.data() + have, ready));
+  }
+}
+
+util::Bytes SourceRoute::take() {
+  if (spare_.empty()) {
+    ++allocated_;
+    return {};
+  }
+  util::Bytes buffer = std::move(spare_.back());
+  spare_.pop_back();
+  return buffer;
+}
+
+std::size_t SourceRoute::route(net::Packet* packets, std::size_t count,
+                               bool refill) {
+  if (count == 0) return 0;
+  if (refill) reclaim();
+  const std::int64_t newest = packets[count - 1].timestamp.nanos();
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto shard = shard_of(packets[i]);
+    if (!shard.has_value()) ++unroutable_;
+    staging_[shard.value_or(0)].push_back(std::move(packets[i]));
+    if (refill) packets[i].data = take();
+  }
+  return push_staged(count, newest);
+}
+
+std::size_t SourceRoute::route_copies(const net::Packet* packets,
+                                      std::size_t count) {
+  if (count == 0) return 0;
+  reclaim();
+  for (std::size_t i = 0; i < count; ++i) {
+    const net::Packet& packet = packets[i];
+    const auto shard = shard_of(packet);
+    if (!shard.has_value()) ++unroutable_;
+    net::Packet& copy = staging_[shard.value_or(0)].emplace_back();
+    copy.timestamp = packet.timestamp;
+    copy.original_length = packet.original_length;
+    copy.data = take();
+    copy.data.assign(packet.data.begin(), packet.data.end());
+  }
+  return push_staged(count, packets[count - 1].timestamp.nanos());
+}
+
+bool SourceRoute::try_route(net::Packet& packet) {
+  const auto shard = shard_of(packet);
+  const std::int64_t at = packet.timestamp.nanos();
+  if (!row_[shard.value_or(0)]->packets.try_push(packet)) return false;
+  if (!shard.has_value()) ++unroutable_;
+  ++routed_;
+  for (std::size_t d = 0; d < row_.size(); ++d) publish_floor(d, at);
+  return true;
+}
+
+void SourceRoute::publish_floor(std::size_t shard, std::int64_t newest) {
+  const std::vector<net::Packet>& out = staging_[shard];
+  row_[shard]->floor.store(
+      sent_[shard] < out.size() ? out[sent_[shard]].timestamp.nanos() : newest,
+      std::memory_order_release);
+}
+
+/// `newest` is a floor for everything the source has not handed over
+/// yet. When rings are full the route parks on the link whose next
+/// packet is the oldest one unsent, and each link's floor is the
+/// timestamp of its own next unsent packet. So a parked route holds
+/// back nothing older than what the worker it waits on already has
+/// staged, and merging workers can never wait on each other in a cycle.
+std::size_t SourceRoute::push_staged(std::size_t count, std::int64_t newest) {
+  const std::size_t shards = row_.size();
+  for (std::size_t d = 0; d < shards; ++d) {
+    sent_[d] = 0;
+    publish_floor(d, newest);
+  }
+  std::size_t accepted = count;
+  for (;;) {
+    std::size_t oldest = shards;
+    std::int64_t oldest_nanos = std::numeric_limits<std::int64_t>::max();
+    for (std::size_t d = 0; d < shards; ++d) {
+      std::vector<net::Packet>& out = staging_[d];
+      if (sent_[d] == out.size()) continue;
+      const std::size_t pushed =
+          row_[d]->packets.try_push_n(out.data() + sent_[d], out.size() - sent_[d]);
+      if (pushed > 0) {
+        sent_[d] += pushed;
+        publish_floor(d, newest);
+      }
+      if (sent_[d] < out.size() && out[sent_[d]].timestamp.nanos() < oldest_nanos) {
+        oldest = d;
+        oldest_nanos = out[sent_[d]].timestamp.nanos();
+      }
+    }
+    if (oldest == shards) break;
+    ++backpressure_;
+    if (row_[oldest]->packets.push_n(staging_[oldest].data() + sent_[oldest], 1) == 0) {
+      for (std::size_t d = 0; d < shards; ++d) accepted -= staging_[d].size() - sent_[d];
+      break;
+    }
+    ++sent_[oldest];
+    publish_floor(oldest, newest);
+  }
+  for (std::vector<net::Packet>& out : staging_) out.clear();
+  routed_ += accepted;
+  return accepted;
+}
+
+std::size_t SourceRoute::queued_approx() const {
+  std::size_t queued = 0;
+  for (const Link* link : row_) queued += link->packets.size_approx();
+  return queued;
+}
+
+void SourceRoute::close_links() {
+  for (Link* link : row_) link->packets.close();
+}
+
+void SourceRoute::end() {
+  close_links();
+  totals_.packets.fetch_add(routed_, std::memory_order_relaxed);
+  totals_.unroutable.fetch_add(unroutable_, std::memory_order_relaxed);
+  totals_.backpressure.fetch_add(backpressure_, std::memory_order_relaxed);
+  totals_.buffers_allocated.fetch_add(allocated_, std::memory_order_relaxed);
+  totals_.sources_done.fetch_add(1, std::memory_order_release);
+  // Pairs with wait_ended(): a waiter that wakes sees the tallies.
+  done_.store(true, std::memory_order_release);
+  done_.notify_all();
+}
+
 // --- MonitorFleet ---------------------------------------------------------
 
 struct MonitorFleet::Impl {
-  /// One (source, shard) pair: the ring carrying packets from the
-  /// source's pump to the shard's worker, its twin carrying the fed
-  /// packets' buffers back for reuse, and the pump's floor. Each ring
-  /// keeps exactly one producer and one consumer.
-  struct Link {
-    /// Between two of its pump's reclaims a worker hands back at most a
-    /// full packet ring, its staged batch and the one batch the pump
-    /// pushes meanwhile; sized for that, the buffer ring never makes a
-    /// worker free a buffer.
-    Link(std::size_t capacity, std::size_t batch)
-        : packets(capacity), buffers(packets.capacity() + 2 * batch) {}
-    util::SpscRing<net::Packet> packets;  // pump -> worker
-    util::SpscRing<util::Bytes> buffers;  // worker -> pump
-    /// The pump's promise (nanos): no packet older than this is still
-    /// to be pushed here. Stored after the pushes it covers, so a
-    /// worker that loads it before popping also sees those packets.
-    std::atomic<std::int64_t> floor{kNoTime};
-  };
-
   /// Worker-side view of one link: a staged batch plus the lower bound
   /// on what the source can still deliver.
   struct Lane {
@@ -323,6 +495,9 @@ struct MonitorFleet::Impl {
       for (std::size_t d = 0; d < config.shards; ++d) {
         row.push_back(std::make_unique<Link>(config.ring_capacity, config.batch));
       }
+      std::vector<Link*> route_row;
+      for (const auto& link : row) route_row.push_back(link.get());
+      routes.push_back(std::make_unique<SourceRoute>(std::move(route_row), totals));
     }
 
     shards = std::vector<Shard>(config.shards);
@@ -361,138 +536,26 @@ struct MonitorFleet::Impl {
     return out;
   }
 
-  // --- pump (one per source) --------------------------------------------
+  // --- pump (one per pull source) ---------------------------------------
 
-  /// A pump's spare packet buffers: what the shard workers handed back,
-  /// reused before anything is allocated.
-  struct Freelist {
-    std::vector<util::Bytes> spare;
-    std::uint64_t allocated = 0;
-
-    /// Move every buffer the workers have returned so far into `spare`.
-    void reclaim(const std::vector<std::unique_ptr<Link>>& row) {
-      for (const auto& link : row) {
-        const std::size_t ready = link->buffers.size_approx();
-        if (ready == 0) continue;
-        const std::size_t have = spare.size();
-        spare.resize(have + ready);
-        spare.resize(have + link->buffers.try_pop_n(spare.data() + have, ready));
-      }
-    }
-
-    /// A recycled buffer, or an empty one (counted) when none is left.
-    util::Bytes take() {
-      if (spare.empty()) {
-        ++allocated;
-        return {};
-      }
-      util::Bytes buffer = std::move(spare.back());
-      spare.pop_back();
-      return buffer;
-    }
-  };
-
+  /// Drain `source` to exhaustion through its slot's route. Owned
+  /// slots hand their frames over and take recycled buffers, so the
+  /// source's next read copies into capacity it already has; a
+  /// borrowed batch is copied.
   std::size_t pump(engine::PacketSource& source, std::size_t slot) {
+    SourceRoute& route = *routes[slot];
     engine::PacketBatch batch;
-    std::vector<std::vector<net::Packet>> staging(config.shards);
-    std::vector<std::size_t> sent(config.shards);
-    Freelist freelist;
-    std::size_t routed = 0;
-    std::uint64_t local_unroutable = 0;
-    std::uint64_t local_backpressure = 0;
-
     for (;;) {
-      freelist.reclaim(links[slot]);
       const std::size_t got = source.read_batch(batch, config.batch);
       if (got == 0) break;
       net::Packet* slots = batch.mutable_slots();
-      for (std::size_t i = 0; i < got; ++i) {
-        const auto hash = net::viewer_shard_hash(batch[i]);
-        std::size_t shard = 0;
-        if (hash.has_value()) {
-          shard = static_cast<std::size_t>(*hash % config.shards);
-        } else {
-          ++local_unroutable;  // unparseable frames all ride shard 0
-        }
-        if (slots != nullptr) {
-          // The emptied slot takes a recycled buffer, so the source's
-          // next read copies into capacity it already has.
-          staging[shard].push_back(std::move(slots[i]));
-          slots[i].data = freelist.take();
-        } else {
-          // Borrowed batch: copy into a recycled buffer.
-          const net::Packet& packet = batch[i];
-          net::Packet& copy = staging[shard].emplace_back();
-          copy.timestamp = packet.timestamp;
-          copy.original_length = packet.original_length;
-          copy.data = freelist.take();
-          copy.data.assign(packet.data.begin(), packet.data.end());
-        }
-      }
-      routed += got;
-      const std::int64_t newest = batch[got - 1].timestamp.nanos();
-      if (!push_routed(slot, staging, sent, newest, local_backpressure)) break;
+      const std::size_t accepted = slots != nullptr
+                                       ? route.route(slots, got, /*refill=*/true)
+                                       : route.route_copies(batch.begin(), got);
+      if (accepted < got) break;  // links closed: the fleet is aborting
     }
-
-    for (const auto& link : links[slot]) link->packets.close();
-    packets.fetch_add(routed, std::memory_order_relaxed);
-    buffers_allocated.fetch_add(freelist.allocated, std::memory_order_relaxed);
-    unroutable.fetch_add(local_unroutable, std::memory_order_relaxed);
-    backpressure.fetch_add(local_backpressure, std::memory_order_relaxed);
-    sources_done.fetch_add(1, std::memory_order_release);
-    return routed;
-  }
-
-  /// Push one routed batch into the source's links. `newest` is the
-  /// batch's last timestamp: a floor for everything the source has not
-  /// read yet. When rings are full the pump parks on the link whose
-  /// next packet is the oldest one unsent, and each link's floor is the
-  /// timestamp of its own next unsent packet. So a parked pump holds
-  /// back nothing older than what the worker it waits on already has
-  /// staged, and merging workers can never wait on each other in a
-  /// cycle. Returns false when a ring closed under the pump (the fleet
-  /// is aborting).
-  bool push_routed(std::size_t slot, std::vector<std::vector<net::Packet>>& staging,
-                   std::vector<std::size_t>& sent, std::int64_t newest,
-                   std::uint64_t& waits) {
-    const auto& row = links[slot];
-    const auto publish_floor = [&](std::size_t d) {
-      const std::vector<net::Packet>& out = staging[d];
-      row[d]->floor.store(
-          sent[d] < out.size() ? out[sent[d]].timestamp.nanos() : newest,
-          std::memory_order_release);
-    };
-    for (std::size_t d = 0; d < config.shards; ++d) {
-      sent[d] = 0;
-      publish_floor(d);
-    }
-    for (;;) {
-      std::size_t oldest = config.shards;
-      std::int64_t oldest_nanos = std::numeric_limits<std::int64_t>::max();
-      for (std::size_t d = 0; d < config.shards; ++d) {
-        std::vector<net::Packet>& out = staging[d];
-        if (sent[d] == out.size()) continue;
-        const std::size_t pushed =
-            row[d]->packets.try_push_n(out.data() + sent[d], out.size() - sent[d]);
-        if (pushed > 0) {
-          sent[d] += pushed;
-          publish_floor(d);
-        }
-        if (sent[d] < out.size() && out[sent[d]].timestamp.nanos() < oldest_nanos) {
-          oldest = d;
-          oldest_nanos = out[sent[d]].timestamp.nanos();
-        }
-      }
-      if (oldest == config.shards) break;
-      ++waits;
-      if (row[oldest]->packets.push_n(staging[oldest].data() + sent[oldest], 1) == 0) {
-        return false;
-      }
-      ++sent[oldest];
-      publish_floor(oldest);
-    }
-    for (std::vector<net::Packet>& out : staging) out.clear();
-    return true;
+    route.end();
+    return route.routed();
   }
 
   // --- worker (one per shard) -------------------------------------------
@@ -743,26 +806,34 @@ struct MonitorFleet::Impl {
     pumps.emplace_back([this, &source, slot] { pump(source, slot); });
   }
 
-  FleetStats finish() WM_EXCLUDES(finish_mutex, attach_mutex) {
-    // finish_mutex serializes whole shutdowns: a second caller racing
-    // the first used to read `stats` while the winner was still
-    // writing it; now it blocks until the winner is done and returns
-    // the completed stats. Ordering: finish_mutex before attach_mutex.
-    const util::LockGuard finish_lock(finish_mutex);
+  /// Claim a slot for a tap; its route is the tap's from now on.
+  SourceRoute& bind_tap() WM_EXCLUDES(attach_mutex) {
+    const util::LockGuard lock(attach_mutex);
+    const std::size_t slot = take_slot_locked();
+    tap_routes.push_back(routes[slot].get());
+    return *routes[slot];
+  }
+
+  /// Mark the fleet finishing and wait out every source: join the
+  /// pumps, then wait for each bound tap's close(). Either owns the
+  /// producer side of its rings until its source ends (shutdown
+  /// contract). False when a shutdown already ran.
+  bool stop_sources() WM_REQUIRES(finish_mutex) WM_EXCLUDES(attach_mutex) {
     std::vector<std::thread> to_join;
+    std::vector<SourceRoute*> to_wait;
     {
       const util::LockGuard lock(attach_mutex);
-      if (finishing) return stats;
+      if (finishing) return false;
       finishing = true;
       to_join.swap(pumps);
+      to_wait = tap_routes;
     }
-    // Join the pumps first: a pump owns the producer side of its rings
-    // until its source ends (shutdown contract). Joining the swapped
-    // local (not `pumps` unlocked) keeps attach()'s emplace ordered
-    // against the join.
+    // Joining the swapped local (not `pumps` unlocked) keeps attach()'s
+    // emplace ordered against the join.
     for (std::thread& pump_thread : to_join) {
       if (pump_thread.joinable()) pump_thread.join();
     }
+    for (const SourceRoute* route : to_wait) route->wait_ended();
     // Close every ring — including slots never attached — so each
     // worker's lanes exhaust and the workers drain out.
     for (auto& row : links) {
@@ -771,6 +842,16 @@ struct MonitorFleet::Impl {
     for (Shard& shard : shards) {
       if (shard.worker.joinable()) shard.worker.join();
     }
+    return true;
+  }
+
+  FleetStats finish() WM_EXCLUDES(finish_mutex, attach_mutex) {
+    // finish_mutex serializes whole shutdowns: a second caller racing
+    // the first used to read `stats` while the winner was still
+    // writing it; now it blocks until the winner is done and returns
+    // the completed stats. Ordering: finish_mutex before attach_mutex.
+    const util::LockGuard finish_lock(finish_mutex);
+    if (!stop_sources()) return stats;
 
     // Advance every shard to the fleet-wide last capture instant so
     // idle evictions fire exactly where a single monitor's would have
@@ -797,11 +878,19 @@ struct MonitorFleet::Impl {
     if (collector != nullptr) collector->flush();
 
     for (const MonitorStats& s : stats.shards) accumulate(stats.totals, s);
-    stats.packets = packets.load(std::memory_order_relaxed);
-    stats.packets_unroutable = unroutable.load(std::memory_order_relaxed);
+    stats.packets = totals.packets.load(std::memory_order_relaxed);
+    stats.packets_unroutable = totals.unroutable.load(std::memory_order_relaxed);
     stats.merge_deferrals = deferrals.load(std::memory_order_relaxed);
-    stats.backpressure_waits = backpressure.load(std::memory_order_relaxed);
-    stats.buffers_allocated = buffers_allocated.load(std::memory_order_relaxed);
+    stats.backpressure_waits = totals.backpressure.load(std::memory_order_relaxed);
+    stats.buffers_allocated =
+        totals.buffers_allocated.load(std::memory_order_relaxed);
+    stats.ring_parks.resize(shards.size());
+    for (const auto& row : links) {
+      for (std::size_t d = 0; d < row.size(); ++d) {
+        stats.ring_parks[d].producer += row[d]->packets.producer_parks();
+        stats.ring_parks[d].consumer += row[d]->packets.consumer_parks();
+      }
+    }
     return stats;
   }
 
@@ -830,22 +919,7 @@ struct MonitorFleet::Impl {
 
   void abort_without_finish() WM_EXCLUDES(finish_mutex, attach_mutex) {
     const util::LockGuard finish_lock(finish_mutex);
-    std::vector<std::thread> to_join;
-    {
-      const util::LockGuard lock(attach_mutex);
-      if (finishing) return;  // finish() already ran
-      finishing = true;
-      to_join.swap(pumps);
-    }
-    for (std::thread& pump_thread : to_join) {
-      if (pump_thread.joinable()) pump_thread.join();
-    }
-    for (auto& row : links) {
-      for (auto& link : row) link->packets.close();
-    }
-    for (Shard& shard : shards) {
-      if (shard.worker.joinable()) shard.worker.join();
-    }
+    (void)stop_sources();  // false: finish() already ran
     // Monitors are destroyed un-finished: no shutdown events fire.
   }
 
@@ -853,9 +927,12 @@ struct MonitorFleet::Impl {
   const FleetConfig config;
   std::unique_ptr<OrderingCollector> collector;
   /// links[source][shard]: the packet ring's producer is that source's
-  /// pump and its consumer that shard's worker; the buffer ring runs
+  /// route and its consumer that shard's worker; the buffer ring runs
   /// the other way. Strict SPSC per ring.
   std::vector<std::vector<std::unique_ptr<Link>>> links;
+  /// routes[source]: driven by the slot's pump or by its bound tap.
+  std::vector<std::unique_ptr<SourceRoute>> routes;
+  detail::RouteTotals totals;
   std::vector<Shard> shards;
 
   // wm-lint: allow(mutex): attach/finish lifecycle edges only — never
@@ -864,23 +941,16 @@ struct MonitorFleet::Impl {
   std::vector<std::thread> pumps WM_GUARDED_BY(attach_mutex);
   std::size_t attached WM_GUARDED_BY(attach_mutex) = 0;
   bool finishing WM_GUARDED_BY(attach_mutex) = false;
+  /// The routes bound taps drive, in bind order.
+  std::vector<SourceRoute*> tap_routes WM_GUARDED_BY(attach_mutex);
 
   // Serializes finish()/abort end to end (acquired before
   // attach_mutex); a losing caller blocks, then reads completed stats.
   // wm-lint: allow(mutex): taken once per fleet lifetime.
   util::Mutex finish_mutex;
 
-  // Relaxed counters: pump-local tallies flushed once per source; the
-  // pump joins in finish() provide the happens-before for reading
-  // them into stats. sources_done is the exception — its release
-  // fetch_add pairs with drained()'s acquire load so a true `drained`
-  // implies the counter flushes above it are visible.
-  std::atomic<std::uint64_t> packets{0};
-  std::atomic<std::uint64_t> unroutable{0};
+  // Relaxed: read into stats after the workers are joined.
   std::atomic<std::uint64_t> deferrals{0};
-  std::atomic<std::uint64_t> backpressure{0};
-  std::atomic<std::uint64_t> buffers_allocated{0};
-  std::atomic<std::size_t> sources_done{0};
 
   FleetStats stats WM_GUARDED_BY(finish_mutex);
 };
@@ -897,6 +967,22 @@ void MonitorFleet::attach(engine::PacketSource& source) {
   impl_->attach_source(source);
 }
 
+void MonitorFleet::attach(InjectableTap& tap) {
+  if (tap.route_ != nullptr) {
+    throw std::logic_error("MonitorFleet: tap is already bound to a fleet");
+  }
+  SourceRoute& route = impl_->bind_tap();
+  // Whatever was injected before the bind goes first.
+  std::vector<net::Packet> queued(tap.ring_.size_approx());
+  queued.resize(tap.ring_.try_pop_n(queued.data(), queued.size()));
+  route.route(queued.data(), queued.size(), /*refill=*/false);
+  if (tap.closed()) {
+    route.end();
+  } else {
+    tap.route_ = &route;
+  }
+}
+
 std::size_t MonitorFleet::consume(engine::PacketSource& source) {
   const std::size_t slot = impl_->take_source_slot();
   return impl_->pump(source, slot);
@@ -904,7 +990,7 @@ std::size_t MonitorFleet::consume(engine::PacketSource& source) {
 
 bool MonitorFleet::drained() const {
   const util::LockGuard lock(impl_->attach_mutex);
-  return impl_->sources_done.load(std::memory_order_acquire) >=
+  return impl_->totals.sources_done.load(std::memory_order_acquire) >=
          impl_->attached;
 }
 

@@ -4,7 +4,74 @@
 #include <thread>
 #include <utility>
 
+#include "source_route.hpp"
+
 namespace wm::monitor {
+
+/// One call on a bound tap's route: get() is null once close() has
+/// begun, and close() waits for every live RouteUse to end.
+class InjectableTap::RouteUse {
+ public:
+  explicit RouteUse(const InjectableTap& tap) : tap_(tap) {
+    if ((tap_.route_calls_.fetch_add(1, std::memory_order_acquire) & kRouteClosed) == 0) {
+      route_ = tap_.route_;
+    }
+  }
+  ~RouteUse() {
+    // The last call out after close() began wakes the closer.
+    if (tap_.route_calls_.fetch_sub(1, std::memory_order_release) == (kRouteClosed | 1)) {
+      tap_.route_calls_.notify_all();
+    }
+  }
+  RouteUse(const RouteUse&) = delete;
+  RouteUse& operator=(const RouteUse&) = delete;
+
+  [[nodiscard]] detail::SourceRoute* get() const { return route_; }
+
+ private:
+  const InjectableTap& tap_;
+  detail::SourceRoute* route_ = nullptr;
+};
+
+bool InjectableTap::inject(net::Packet packet) {
+  if (route_ == nullptr) return ring_.push(std::move(packet));
+  const RouteUse use(*this);
+  return use.get() != nullptr && use.get()->route(&packet, 1, /*refill=*/false) == 1;
+}
+
+bool InjectableTap::try_inject(net::Packet& packet) {
+  if (route_ == nullptr) return !closed() && ring_.try_push(packet);
+  const RouteUse use(*this);
+  return use.get() != nullptr && use.get()->try_route(packet);
+}
+
+std::size_t InjectableTap::inject_batch(net::Packet* packets, std::size_t count) {
+  if (route_ == nullptr) return ring_.push_n(packets, count);
+  const RouteUse use(*this);
+  return use.get() != nullptr ? use.get()->route(packets, count, /*refill=*/false) : 0;
+}
+
+void InjectableTap::close() {
+  ring_.close();
+  if (route_ == nullptr) return;
+  std::uint32_t calls = route_calls_.fetch_or(kRouteClosed, std::memory_order_acquire);
+  if ((calls & kRouteClosed) != 0) return;  // closed before
+  // Wake a producer parked on a full shard ring, let every call in
+  // flight return, then end the slot: after that the fleet may go.
+  route_->close_links();
+  calls |= kRouteClosed;
+  while (calls != kRouteClosed) {
+    route_calls_.wait(calls, std::memory_order_acquire);
+    calls = route_calls_.load(std::memory_order_acquire);
+  }
+  route_->end();
+}
+
+std::size_t InjectableTap::queued_approx() const {
+  if (route_ == nullptr) return ring_.size_approx();
+  const RouteUse use(*this);
+  return use.get() != nullptr ? use.get()->queued_approx() : 0;
+}
 
 std::optional<net::Packet> InjectableTap::next() {
   net::Packet packet;

@@ -6,11 +6,14 @@
 // impairments. Plus: global-order delivery through OrderingCollector,
 // rollup metric accounting, viewer-hash routing invariants, and a
 // tiny-ring stress leg (backpressure + shutdown-while-feeding + the
-// abort-without-finish destructor path), and buffer recycling through
-// the return rings under constant backpressure.
+// abort-without-finish destructor path), buffer recycling through
+// the return rings under constant backpressure, and taps bound to the
+// fleet (routing on the producer's thread, shutdown, ring parks).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -411,6 +414,8 @@ TEST(MonitorFleet, ViewerHashPinsEverySessionPacketToOneShard) {
   EXPECT_GT(buckets.size(), 2u);
 }
 
+/// Both ways a fleet takes a tap: bound (its producers route) and as a
+/// plain PacketSource (a pump thread pulls it through read_batch).
 TEST(MonitorFleet, StressTinyRingsBackpressureAndShutdownWhileFeeding) {
   WorkloadConfig workload;
   workload.sessions = 48;
@@ -421,60 +426,72 @@ TEST(MonitorFleet, StressTinyRingsBackpressureAndShutdownWhileFeeding) {
   const std::vector<net::Packet> packets = materialize(workload);
   const auto parts = split_by_viewer(packets, 4);
 
-  FleetSink sink;
-  FleetConfig config;
-  config.shards = 4;
-  config.sources = 4;
-  config.ring_capacity = 8;  // force pump parks
-  config.batch = 4;
-  config.merge_wait = util::Duration::millis(1);
-  config.monitor = diff_config();
+  for (const bool bound : {true, false}) {
+    const std::string label = bound ? "bound taps" : "pumped taps";
+    FleetSink sink;
+    FleetConfig config;
+    config.shards = 4;
+    config.sources = 4;
+    config.ring_capacity = 8;  // force pump parks
+    config.batch = 4;
+    config.merge_wait = util::Duration::millis(1);
+    config.monitor = diff_config();
 
-  MonitorFleet fleet(classifier, config, &sink);
-  std::vector<std::unique_ptr<InjectableTap>> taps;
-  for (std::size_t i = 0; i < 4; ++i)
-    taps.push_back(std::make_unique<InjectableTap>(/*capacity=*/8));
-  for (auto& tap : taps) fleet.attach(*tap);
-
-  // Producers inject through bounded taps while the main thread is
-  // already inside finish(): shutdown races live feeding, and finish()
-  // must block until every tap closes, then account for every packet.
-  std::vector<std::thread> producers;
-  producers.reserve(taps.size());
-  for (std::size_t i = 0; i < taps.size(); ++i) {
-    producers.emplace_back([&taps, &parts, i] {
-      for (const net::Packet& packet : parts[i]) {
-        net::Packet copy = packet;
-        EXPECT_TRUE(taps[i]->inject(std::move(copy)));
+    MonitorFleet fleet(classifier, config, &sink);
+    std::vector<std::unique_ptr<InjectableTap>> taps;
+    for (std::size_t i = 0; i < 4; ++i)
+      taps.push_back(std::make_unique<InjectableTap>(/*capacity=*/8));
+    for (auto& tap : taps) {
+      if (bound) {
+        fleet.attach(*tap);
+      } else {
+        fleet.attach(static_cast<engine::PacketSource&>(*tap));
       }
-      taps[i]->close();
-    });
-  }
-  const FleetStats stats = fleet.finish();
-  for (std::thread& producer : producers) producer.join();
+    }
 
-  EXPECT_EQ(stats.packets, packets.size());
-  EXPECT_EQ(stats.totals.packets, packets.size());
-  EXPECT_EQ(stats.totals.viewers_opened, workload.sessions);
-  // 8-slot rings against thousands of packets: the pumps parked.
-  EXPECT_GT(stats.backpressure_waits, 0u);
-  // Deferrals are allowed here (1ms merge_wait, racing producers); the
-  // per-viewer serial guarantee still holds — spot-check every viewer
-  // got a full answer stream despite the chaos.
-  std::size_t total_choices = 0;
-  for (const auto& [client, emitted] : sink.choices)
-    total_choices += emitted.size(), (void)client;
-  EXPECT_EQ(total_choices, stats.totals.choices_inferred);
-  EXPECT_EQ(stats.totals.choices_inferred,
-            workload.sessions * workload.questions_per_session);
+    // Producers inject through bounded taps while the main thread is
+    // already inside finish(): shutdown races live feeding, and finish()
+    // must block until every tap closes, then account for every packet.
+    std::vector<std::thread> producers;
+    producers.reserve(taps.size());
+    for (std::size_t i = 0; i < taps.size(); ++i) {
+      producers.emplace_back([&taps, &parts, i] {
+        for (const net::Packet& packet : parts[i]) {
+          net::Packet copy = packet;
+          EXPECT_TRUE(taps[i]->inject(std::move(copy)));
+        }
+        taps[i]->close();
+      });
+    }
+    const FleetStats stats = fleet.finish();
+    for (std::thread& producer : producers) producer.join();
+
+    EXPECT_EQ(stats.packets, packets.size()) << label;
+    EXPECT_EQ(stats.totals.packets, packets.size()) << label;
+    EXPECT_EQ(stats.totals.viewers_opened, workload.sessions) << label;
+    // 8-slot rings against thousands of packets: the pumps parked.
+    EXPECT_GT(stats.backpressure_waits, 0u) << label;
+    // Deferrals are allowed here (1ms merge_wait, racing producers); the
+    // per-viewer serial guarantee still holds — spot-check every viewer
+    // got a full answer stream despite the chaos.
+    std::size_t total_choices = 0;
+    for (const auto& [client, emitted] : sink.choices)
+      total_choices += emitted.size(), (void)client;
+    EXPECT_EQ(total_choices, stats.totals.choices_inferred) << label;
+    EXPECT_EQ(stats.totals.choices_inferred,
+              workload.sessions * workload.questions_per_session)
+        << label;
+  }
 }
 
 /// Rings no bigger than one batch keep every pump parking, so buffers
 /// cross the return rings constantly; the sources mix a borrowed batch
-/// (copied), owned capture-file slots (recycled in place) and taps
-/// (whose slots swap buffers). Streams stay exactly the single
-/// monitor's, and the pumps' fresh allocations stay under a bound set
-/// by ring and batch sizes alone — far below the capture's length.
+/// (copied), owned capture-file slots (recycled in place) and a bound
+/// tap (routed on the injecting thread, its buffers freed by the
+/// workers once its return rings are full). Streams stay exactly the
+/// single monitor's, and the pumps' fresh allocations stay under a
+/// bound set by ring and batch sizes alone — far below the capture's
+/// length.
 TEST(MonitorFleet, RecycledBuffersKeepStreamsExactUnderBackpressure) {
   WorkloadConfig workload;
   workload.sessions = 400;
@@ -552,6 +569,272 @@ TEST(MonitorFleet, RecycledBuffersKeepStreamsExactUnderBackpressure) {
     }
     for (const auto& file : files) std::filesystem::remove(file);
   }
+}
+
+/// Bound taps fed from producer threads, one per source, each
+/// refilling a single array of `array_size` packets between its
+/// inject_batch calls.
+void run_fleet_through_taps(const core::RecordClassifier& classifier,
+                            const std::vector<std::vector<net::Packet>>& parts,
+                            const FleetConfig& config, std::size_t array_size,
+                            FleetRun& out) {
+  std::vector<std::unique_ptr<InjectableTap>> taps;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    taps.push_back(std::make_unique<InjectableTap>());
+  }
+  MonitorFleet fleet(classifier, config, &out.sink);
+  for (auto& tap : taps) fleet.attach(*tap);
+  std::vector<std::thread> producers;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    producers.emplace_back([&tap = *taps[i], &part = parts[i], array_size] {
+      std::vector<net::Packet> array(array_size);
+      for (std::size_t next = 0; next < part.size();) {
+        const std::size_t count = std::min(array_size, part.size() - next);
+        for (std::size_t j = 0; j < count; ++j) {
+          const net::Packet& packet = part[next + j];
+          array[j].timestamp = packet.timestamp;
+          array[j].original_length = packet.original_length;
+          array[j].data.assign(packet.data.begin(), packet.data.end());
+        }
+        EXPECT_EQ(tap.inject_batch(array.data(), count), count);
+        next += count;
+      }
+      tap.close();
+    });
+  }
+  out.stats = fleet.finish();
+  for (std::thread& producer : producers) producer.join();
+}
+
+/// A bound tap routes on its producer's thread, under constant
+/// backpressure from rings no bigger than one batch, from a producer
+/// that refills one array: every stream is still the single monitor's,
+/// and no pump buffer is taken.
+TEST(MonitorFleet, BoundTapReusingOneArrayKeepsStreamsExact) {
+  WorkloadConfig workload;
+  workload.sessions = 400;
+  workload.concurrency = 24;
+  workload.questions_per_session = 3;
+  core::IntervalClassifier classifier;
+  classifier.fit(workload_calibration(workload));
+  const std::vector<net::Packet> packets = materialize(workload);
+  ReferenceRun reference;
+  run_reference(classifier, packets, reference);
+
+  for (const std::size_t batch : {1u, 7u}) {
+    const std::string label = "batch=" + std::to_string(batch);
+    FleetConfig config;
+    config.shards = 4;
+    config.ring_capacity = batch;
+    config.batch = batch;
+    config.monitor = diff_config();
+    ASSERT_GE(packets.size(), 50 * config.shards * config.ring_capacity) << label;
+
+    FleetRun fleet;
+    run_fleet_through_taps(classifier, {packets}, config, batch, fleet);
+    expect_equal_streams(fleet.sink, reference.sink, label);
+    expect_equal_totals(fleet.stats, reference.stats, label);
+    EXPECT_EQ(fleet.stats.packets, packets.size()) << label;
+    EXPECT_GT(fleet.stats.backpressure_waits, 0u) << label;
+    EXPECT_EQ(fleet.stats.buffers_allocated, 0u) << label;
+  }
+}
+
+/// Global-order delivery through bound taps, one source (the worker's
+/// plain drain) and two (the timestamp merge, fed by two producers).
+TEST(MonitorFleet, BoundTapsWithGlobalOrderMatchSingleMonitor) {
+  const WorkloadConfig workload = small_fleet_workload();
+  core::IntervalClassifier classifier;
+  classifier.fit(workload_calibration(workload));
+  const std::vector<net::Packet> packets = materialize(workload);
+  ReferenceRun reference;
+  run_reference(classifier, packets, reference);
+
+  for (const std::size_t sources : {1u, 2u}) {
+    const std::string label = "global-order taps=" + std::to_string(sources);
+    FleetConfig config;
+    config.shards = 4;
+    config.sources = sources;
+    config.ring_capacity = packets.size() + 1;
+    config.merge_wait = util::Duration::seconds(30);
+    config.global_order = true;
+    config.monitor = diff_config();
+
+    FleetRun fleet;
+    run_fleet_through_taps(classifier, split_by_viewer(packets, sources), config,
+                           /*array_size=*/64, fleet);
+    expect_equal_streams(fleet.sink, reference.sink, label);
+    expect_equal_totals(fleet.stats, reference.stats, label);
+    EXPECT_EQ(fleet.stats.merge_deferrals, 0u) << label;
+    std::vector<std::int64_t> ordered;
+    for (const auto& delivery : fleet.sink.delivery_times) {
+      if (delivery.shutdown_eviction) break;
+      ordered.push_back(delivery.at_nanos);
+    }
+    ASSERT_FALSE(ordered.empty()) << label;
+    EXPECT_TRUE(std::is_sorted(ordered.begin(), ordered.end())) << label;
+    EXPECT_EQ(fleet.sink.delivery_times.size(),
+              reference.sink.delivery_times.size())
+        << label;
+  }
+}
+
+/// Packets a tap queued before it was bound reach the fleet first; a
+/// second bind of the same tap is refused.
+TEST(MonitorFleet, BindingATapRoutesWhatItAlreadyQueued) {
+  const WorkloadConfig workload = small_fleet_workload();
+  core::IntervalClassifier classifier;
+  classifier.fit(workload_calibration(workload));
+  const std::vector<net::Packet> packets = materialize(workload);
+  ReferenceRun reference;
+  run_reference(classifier, packets, reference);
+
+  FleetConfig config;
+  config.shards = 2;
+  config.sources = 2;
+  config.monitor = diff_config();
+  FleetSink sink;
+  InjectableTap tap(/*capacity=*/64);
+  const std::size_t early = 40;
+  for (std::size_t i = 0; i < early; ++i) ASSERT_TRUE(tap.inject(packets[i]));
+  {
+    MonitorFleet fleet(classifier, config, &sink);
+    fleet.attach(tap);
+    EXPECT_THROW(fleet.attach(tap), std::logic_error);
+    for (std::size_t i = early; i < packets.size(); ++i) {
+      net::Packet copy = packets[i];
+      ASSERT_TRUE(tap.try_inject(copy) || tap.inject(std::move(copy)));
+    }
+    tap.close();
+    const FleetStats stats = fleet.finish();
+    EXPECT_EQ(stats.packets, packets.size());
+    expect_equal_streams(sink, reference.sink, "queued before bind");
+    expect_equal_totals(stats, reference.stats, "queued before bind");
+  }
+}
+
+/// A bound tap may outlive its fleet: once closed, it never touches the
+/// fleet again, before or after the fleet is gone.
+TEST(MonitorFleet, ClosedTapOutlivesItsFleet) {
+  const WorkloadConfig workload = small_fleet_workload();
+  core::IntervalClassifier classifier;
+  classifier.fit(workload_calibration(workload));
+  const std::vector<net::Packet> packets = materialize(workload);
+
+  InjectableTap tap;
+  {
+    FleetConfig config;
+    config.shards = 2;
+    MonitorFleet fleet(classifier, config);
+    fleet.attach(tap);
+    for (const net::Packet& packet : packets) ASSERT_TRUE(tap.inject(packet));
+    tap.close();
+    tap.close();  // idempotent
+    EXPECT_FALSE(tap.inject(packets.front()));
+    EXPECT_TRUE(fleet.drained());
+    EXPECT_EQ(fleet.finish().packets, packets.size());
+  }
+  // The fleet is destroyed: every producer call is inert.
+  net::Packet copy = packets.front();
+  EXPECT_FALSE(tap.inject(copy));
+  EXPECT_FALSE(tap.try_inject(copy));
+  EXPECT_EQ(copy.data, packets.front().data);
+  EXPECT_EQ(tap.inject_batch(&copy, 1), 0u);
+  EXPECT_EQ(tap.queued_approx(), 0u);
+  EXPECT_TRUE(tap.closed());
+  EXPECT_FALSE(tap.next().has_value());
+  tap.close();
+}
+
+/// Holds a shard worker inside its first question callback until
+/// opened, so the rings behind it fill and the producer parks.
+struct GateSink final : engine::EventSink {
+  std::atomic<bool> entered{false};
+  std::atomic<bool> open{false};
+
+  void on_question_opened(const engine::QuestionOpenedEvent&) override {
+    entered.store(true);
+    while (!open.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+};
+
+/// close() from an owner thread while the tap's producer is parked on a
+/// full shard ring: the parked inject returns, close() waits for it
+/// before it ends the slot, later injects are refused, and the fleet
+/// counts exactly the packets the producer was told it accepted.
+TEST(MonitorFleet, OwnerClosesABoundTapWhileItsProducerIsParked) {
+  const WorkloadConfig workload = small_fleet_workload();
+  core::IntervalClassifier classifier;
+  classifier.fit(workload_calibration(workload));
+  const std::vector<net::Packet> packets = materialize(workload);
+
+  FleetConfig config;
+  config.ring_capacity = 2;
+  config.batch = 1;
+  config.monitor = diff_config();
+  GateSink sink;
+  InjectableTap tap;
+  MonitorFleet fleet(classifier, config, &sink);
+  fleet.attach(tap);
+  std::atomic<std::size_t> accepted{0};
+  std::thread producer([&] {
+    for (const net::Packet& packet : packets) {
+      if (!tap.inject(packet)) break;
+      accepted.fetch_add(1);
+    }
+  });
+  while (!sink.entered.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // The worker is held: wait until the producer stops getting anywhere.
+  std::size_t seen = accepted.load();
+  for (;;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::size_t now = accepted.load();
+    if (now == seen) break;
+    seen = now;
+  }
+  EXPECT_LT(seen, packets.size());
+
+  tap.close();
+  producer.join();
+  EXPECT_TRUE(tap.closed());
+  EXPECT_FALSE(tap.inject(packets.front()));
+  EXPECT_EQ(tap.queued_approx(), 0u);
+  sink.open.store(true);
+  const FleetStats stats = fleet.finish();
+  EXPECT_EQ(stats.packets, accepted.load());
+  EXPECT_EQ(stats.totals.packets, accepted.load());
+}
+
+/// Tiny rings make both sides of a shard ring sleep: the workers while
+/// the producer is held back, the producer once it outruns them.
+TEST(MonitorFleet, RingParksCountBothSides) {
+  const WorkloadConfig workload = small_fleet_workload();
+  core::IntervalClassifier classifier;
+  classifier.fit(workload_calibration(workload));
+  const std::vector<net::Packet> packets = materialize(workload);
+
+  FleetConfig config;
+  config.shards = 2;
+  config.ring_capacity = 2;
+  config.batch = 1;
+  config.monitor = diff_config();
+  MonitorFleet fleet(classifier, config);
+  InjectableTap tap;
+  fleet.attach(tap);
+  // Both workers find their rings empty and park.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (const net::Packet& packet : packets) ASSERT_TRUE(tap.inject(packet));
+  tap.close();
+  const FleetStats stats = fleet.finish();
+
+  ASSERT_EQ(stats.ring_parks.size(), config.shards);
+  std::uint64_t producer = 0;
+  for (const auto& parks : stats.ring_parks) {
+    EXPECT_GT(parks.consumer, 0u);
+    producer += parks.producer;
+  }
+  EXPECT_GT(producer, 0u);
+  EXPECT_NE(stats.to_string().find(" parks="), std::string::npos);
 }
 
 TEST(MonitorFleet, DestructionWithoutFinishDrainsAndJoins) {
