@@ -22,10 +22,9 @@
 // run concurrently from N threads, BUT every viewer is pinned to one
 // shard — all events for one viewer arrive from one thread, serially,
 // in that viewer's capture-time order. Implementations therefore need
-// no per-viewer locking, only whole-sink thread safety; callers who
-// additionally need global capture-time order across viewers wrap the
-// sink in monitor::OrderingCollector (or FleetConfig::global_order),
-// trading emission latency for a total order. In every regime
+// no per-viewer locking, only whole-sink thread safety; a sink that
+// additionally needs global capture-time order across viewers sorts
+// on the events' capture times itself. In every regime
 // callbacks run on the packet path — block in one and you stall ingest
 // (the monitor's replay clock, a fleet shard's ring). Events are valid
 // only for the duration of the callback; copy what you keep.

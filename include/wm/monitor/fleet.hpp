@@ -18,7 +18,7 @@
 // A pull source is drained by a pump: a thread spawned by attach(), or
 // the caller's thread via consume(). A tap bound by attach(tap) needs
 // no thread: its producer routes on inject, straight into the shard
-// rings, so a tapped packet crosses one thread hop instead of two.
+// rings, so a tapped packet crosses one thread hop.
 // Each shard worker owns a full private ContinuousMonitor (its own
 // TimerWheel, flow/viewer state, LRU arena): no locks on the inference
 // path, no shared state between shards. Workers feed each drained run through
@@ -44,7 +44,8 @@
 // serially, in that viewer's capture-time order (a viewer's packets
 // all traverse one (source, shard) pair of queues... one source at a
 // time — see the differential test). Cross-viewer order across shards
-// is unspecified unless you opt into OrderingCollector.
+// is unspecified: a sink that needs one total order sorts on the
+// events' capture times itself.
 //
 // MEMORY. FleetConfig::monitor.max_total_bytes is the *fleet-wide*
 // budget: it is split evenly across shards and each shard sheds its
@@ -98,11 +99,6 @@ struct FleetConfig {
   /// order, which is fine for single-source fleets and throughput
   /// benches but weakens multi-source timer ordering.
   util::Duration merge_wait = util::Duration::millis(20);
-  /// Deliver events to the sink in global capture-time order by
-  /// routing them through an internal OrderingCollector. Costs
-  /// buffering latency (events wait for every shard's watermark) and
-  /// one lock per delivery; off = merge-free per-shard delivery.
-  bool global_order = false;
   /// Per-shard monitor tuning. `max_total_bytes` is interpreted as the
   /// FLEET-WIDE budget and split evenly across shards;
   /// `metrics_scope`/`metrics_rollup` are overwritten per shard
@@ -145,56 +141,6 @@ struct FleetStats {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Re-sequences events from N fleet shards into global capture-time
-/// order before forwarding to one downstream sink. Each shard delivers
-/// into its private shard_sink(i) (no cross-shard contention on the
-/// hot path beyond one mutex at delivery); events are buffered until
-/// every shard's watermark has passed them, then released to
-/// `downstream` serially, ordered by (event time, shard, sequence).
-/// MonitorFleet drives the watermarks; standalone users must call
-/// watermark() themselves and flush() at the end.
-///
-/// One class of events is exempt from the total order: kShutdown
-/// evictions. The monitor's finish() stamps them with the viewer's
-/// last activity — a backdated diagnostic, not an emission instant —
-/// so they arrive in the end-of-stream flush() after events with later
-/// timestamps have already been released. They are delivered last,
-/// ordered among themselves; every other event kind (questions,
-/// choices, gaps, idle/shed evictions) is globally time-sorted.
-class OrderingCollector final {
- public:
-  /// `downstream` must outlive the collector and is only ever called
-  /// from inside watermark()/flush() — serially, under the collector's
-  /// lock. `slack` widens the release barrier to cover timer fires
-  /// whose deadlines trail a shard's feed frontier (one wheel tick for
-  /// the default monitor geometry).
-  OrderingCollector(std::size_t shards, engine::EventSink& downstream,
-                    util::Duration slack = util::Duration::millis(10));
-  ~OrderingCollector();
-
-  OrderingCollector(const OrderingCollector&) = delete;
-  OrderingCollector& operator=(const OrderingCollector&) = delete;
-
-  /// The sink shard `shard` delivers into. Valid for the collector's
-  /// lifetime; each returned sink is single-producer (one shard).
-  [[nodiscard]] engine::EventSink& shard_sink(std::size_t shard);
-
-  /// Shard `shard` promises every future event it delivers has time
-  /// >= `frontier_nanos`. Monotonic per shard; releases every buffered
-  /// event older than min-over-shards minus slack.
-  void watermark(std::size_t shard, std::int64_t frontier_nanos);
-
-  /// Release everything still buffered (end of stream).
-  void flush();
-
-  /// Events currently buffered (diagnostics).
-  [[nodiscard]] std::size_t pending() const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
 /// N-shard, M-source continuous monitor. See the header comment for
 /// topology, ordering and shutdown contracts.
 class MonitorFleet {
@@ -224,12 +170,11 @@ class MonitorFleet {
   /// tap's inject calls route on the producer's thread straight into
   /// the slot's shard rings (same hash, floors and backpressure as a
   /// pump). Its close() ends the slot: a closed tap never touches the
-  /// fleet again, so either may be destroyed first. Packets queued in
-  /// the tap before the bind are routed first. Bind before the producer
-  /// starts injecting and before any thread may close the tap. Throws
-  /// std::logic_error like attach(PacketSource&), and for a tap bound
-  /// before. To have a pump pull a tap instead, pass it as an
-  /// engine::PacketSource&.
+  /// fleet again, so either may be destroyed first; a tap closed before
+  /// the bind ends its slot at once. An unbound tap refuses every
+  /// inject, so bind before the producer starts injecting and before
+  /// any thread may close the tap. Throws std::logic_error like
+  /// attach(PacketSource&), and for a tap bound before.
   void attach(InjectableTap& tap);
 
   /// Pump `source` to exhaustion on the calling thread (same routing,
@@ -244,8 +189,7 @@ class MonitorFleet {
   /// close (blocks until every source ends), drain and close the
   /// rings, advance every shard to the fleet-wide last capture instant
   /// (so idle evictions fire exactly as a single monitor's would),
-  /// finish the shards serially, flush the ordering collector if any,
-  /// and aggregate. Idempotent.
+  /// finish the shards serially, and aggregate. Idempotent.
   FleetStats finish();
 
   [[nodiscard]] std::size_t shard_count() const;

@@ -7,14 +7,12 @@
 // Two sources close that gap:
 //
 //  * InjectableTap — an in-process tap. A producer thread injects
-//    packets (a capture replayer, a test, eventually a NIC reader);
-//    the monitor thread consumes them through the ordinary
-//    PacketSource pull interface. Backed by the engine's SPSC ring,
-//    so the handoff is lock-free in the steady state and applies
-//    backpressure when the monitor falls behind. Bound to a
-//    MonitorFleet (MonitorFleet::attach(InjectableTap&)), the tap
-//    skips its ring: inject routes on the producer's thread straight
-//    into the fleet's shard rings.
+//    packets (a capture replayer, a test, eventually a NIC reader)
+//    into a MonitorFleet source slot (MonitorFleet::attach(
+//    InjectableTap&)): inject routes on the producer's thread
+//    straight into the fleet's shard rings, lock-free in the steady
+//    state, and parks when a shard falls behind. A single monitor
+//    with a live tap is a one-shard fleet.
 //
 //  * TimedReplaySource — timing-faithful replay. Wraps any inner
 //    source and paces delivery by the original capture timestamps at
@@ -28,11 +26,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "wm/core/engine/source.hpp"
 #include "wm/net/packet.hpp"
-#include "wm/util/spsc_ring.hpp"
 #include "wm/util/time.hpp"
 
 namespace wm::monitor {
@@ -42,61 +38,45 @@ namespace detail {
 class SourceRoute;
 }
 
-/// In-process packet tap: one producer thread injects, one consumer
-/// thread (the monitor driver) pulls through PacketSource. Exactly one
-/// thread may call the inject side and exactly one the source side —
-/// the underlying ring is SPSC by contract.
-///
-/// A tap bound to a fleet (MonitorFleet::attach(InjectableTap&)) has
-/// no consumer: the inject calls route into the fleet's shard rings,
-/// sized by FleetConfig::ring_capacity, and park when those are full.
-/// Its pull side sees only end-of-stream, once the tap closes. close()
-/// ends the fleet's source slot, from any thread; from then on the tap
-/// never touches the fleet, so either may be destroyed first. A tap
-/// binds once.
-class InjectableTap final : public engine::PacketSource {
+/// In-process packet tap: a handle to one MonitorFleet source slot.
+/// MonitorFleet::attach(InjectableTap&) binds it; from then on one
+/// producer thread injects, and each inject routes into the slot's
+/// shard rings, sized by FleetConfig::ring_capacity, parking when
+/// those are full. A tap binds once. Until it is bound, and once it is
+/// closed, every inject is refused (false / 0); try_inject and
+/// inject_batch then leave their packets untouched. close() ends the
+/// slot, from any thread; from then on the tap never touches the
+/// fleet, so either may be destroyed first.
+class InjectableTap final {
  public:
-  /// `capacity` bounds in-flight packets (rounded up to a power of
-  /// two); a full ring parks the producer until the consumer drains.
-  explicit InjectableTap(std::size_t capacity = 4096) : ring_(capacity) {}
-
-  // --- producer side ---------------------------------------------------
-  /// Blocking inject. False only when the tap was closed first (the
-  /// packet is dropped then).
+  /// Blocking inject. False when the tap is unbound or closed (or
+  /// closes while the call is parked).
   bool inject(net::Packet packet);
-  /// Non-blocking inject. False when the ring is full or the tap is
-  /// closed; the packet is left untouched then, and moved-from when
-  /// accepted.
+  /// Non-blocking inject. False when a shard ring is full or the tap
+  /// is unbound or closed; the packet is left untouched then, and
+  /// moved-from when accepted.
   [[nodiscard]] bool try_inject(net::Packet& packet);
-  /// Blocking batch inject; returns packets accepted (short only when
-  /// the tap closes mid-batch). Packets [0, n) are moved-from.
+  /// Blocking batch inject; returns packets accepted (0 when unbound
+  /// or closed, short only when the tap closes mid-batch). Packets
+  /// [0, n) are moved-from.
   std::size_t inject_batch(net::Packet* packets, std::size_t count);
-  /// End the stream, from any thread: the consumer drains what is
-  /// queued, then sees end-of-stream; blocked producers unblock. Bound,
-  /// the fleet's workers drain the shard rings, and the call returns
-  /// once any inject still running on the producer has returned (it
-  /// may return short), then ends the fleet's source slot.
+  /// End the stream, from any thread: the fleet's workers drain the
+  /// shard rings, and the call returns once any inject still running
+  /// on the producer has returned (it may return short), then ends the
+  /// fleet's source slot. Closing an unbound tap makes its later bind
+  /// end the slot at once. Idempotent.
   void close();
-  [[nodiscard]] bool closed() const { return ring_.closed(); }
-  /// Packets injected and not yet taken by the consumer (bound: the
-  /// packets in the slot's shard rings, 0 once closed). Any thread.
+  [[nodiscard]] bool closed() const {
+    return (route_calls_.load(std::memory_order_acquire) & kRouteClosed) != 0;
+  }
+  /// Packets in the slot's shard rings (0 when unbound or closed). Any
+  /// thread.
   [[nodiscard]] std::size_t queued_approx() const;
-
-  // --- consumer side (PacketSource) ------------------------------------
-  /// Blocks until a packet arrives or the tap is closed and drained.
-  std::optional<net::Packet> next() override;
-  /// Blocks for the first packet, then drains whatever else is already
-  /// queued (up to `max`) without blocking again. 0 = closed + drained.
-  [[nodiscard]] std::size_t read_batch(engine::PacketBatch& out,
-                                       std::size_t max) override;
 
  private:
   friend class MonitorFleet;  // binds route_
   class RouteUse;
 
-  util::SpscRing<net::Packet> ring_;
-  /// Batch-pop staging; slot buffers recycle through the ring via move.
-  std::vector<net::Packet> scratch_;
   /// The fleet source slot the tap is bound to; null when unbound. Set
   /// once, by the bind, before the producer starts; read through a
   /// RouteUse only, since the slot is gone once the tap has closed and

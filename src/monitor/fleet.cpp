@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -88,215 +87,6 @@ std::string FleetStats::to_string() const {
   out << " | "
       << totals.to_string();
   return out.str();
-}
-
-// --- OrderingCollector ----------------------------------------------------
-
-namespace {
-
-/// An event copied out of a shard callback so it can outlive it.
-struct OwnedEvent {
-  enum class Kind : std::uint8_t { kQuestion, kChoice, kEvicted, kGap };
-  Kind kind = Kind::kQuestion;
-  std::int64_t at_nanos = 0;  // capture-time sort key
-  std::size_t shard = 0;
-  std::uint64_t seq = 0;  // global arrival tiebreak
-  std::string client;
-  core::InferredQuestion question;
-  std::uint16_t record_length = 0;
-  bool final_answer = false;
-  util::SimTime at;
-  engine::ViewerEvictedEvent::Reason reason =
-      engine::ViewerEvictedEvent::Reason::kIdle;
-  std::size_t questions_emitted = 0;
-  core::GapSpan gap;
-};
-
-struct OwnedEventOrder {
-  bool operator()(const OwnedEvent& a, const OwnedEvent& b) const {
-    if (a.at_nanos != b.at_nanos) return a.at_nanos < b.at_nanos;
-    if (a.shard != b.shard) return a.shard < b.shard;
-    return a.seq < b.seq;
-  }
-};
-
-}  // namespace
-
-struct OrderingCollector::Impl {
-  /// Per-shard facade over deliver(): copies events out of the shard
-  /// callback, stamps the shard id, and hands them to the merge buffer
-  /// under the collector mutex — callable from any worker thread.
-  // wm-lint: sink(threadsafe): every deliver() takes Impl::mutex.
-  class ShardSink final : public engine::EventSink {
-   public:
-    ShardSink(Impl* impl, std::size_t shard) : impl_(impl), shard_(shard) {}
-
-    void on_question_opened(const engine::QuestionOpenedEvent& event) override {
-      OwnedEvent owned;
-      owned.kind = OwnedEvent::Kind::kQuestion;
-      owned.at_nanos = event.question.question_time.nanos();
-      owned.client = std::string(event.client);
-      owned.question = event.question;
-      owned.record_length = event.record_length;
-      impl_->deliver(shard_, std::move(owned));
-    }
-    void on_choice_inferred(const engine::ChoiceInferredEvent& event) override {
-      OwnedEvent owned;
-      owned.kind = OwnedEvent::Kind::kChoice;
-      owned.at_nanos = event.at.nanos();
-      owned.client = std::string(event.client);
-      owned.question = event.question;
-      owned.record_length = event.record_length;
-      owned.final_answer = event.final;
-      owned.at = event.at;
-      impl_->deliver(shard_, std::move(owned));
-    }
-    void on_viewer_evicted(const engine::ViewerEvictedEvent& event) override {
-      OwnedEvent owned;
-      owned.kind = OwnedEvent::Kind::kEvicted;
-      owned.at_nanos = event.at.nanos();
-      owned.client = std::string(event.client);
-      owned.at = event.at;
-      owned.reason = event.reason;
-      owned.questions_emitted = event.questions_emitted;
-      impl_->deliver(shard_, std::move(owned));
-    }
-    void on_gap_observed(const engine::GapObservedEvent& event) override {
-      OwnedEvent owned;
-      owned.kind = OwnedEvent::Kind::kGap;
-      owned.at_nanos = event.gap.at.nanos();
-      owned.client = std::string(event.client);
-      owned.gap = event.gap;
-      impl_->deliver(shard_, std::move(owned));
-    }
-
-   private:
-    Impl* impl_;
-    std::size_t shard_;
-  };
-
-  Impl(std::size_t shards, engine::EventSink& downstream_in,
-       util::Duration slack_in)
-      : downstream(downstream_in),
-        slack(slack_in.total_nanos()),
-        watermarks(shards == 0 ? 1 : shards, kNoTime) {
-    sinks.reserve(watermarks.size());
-    for (std::size_t i = 0; i < watermarks.size(); ++i) {
-      sinks.push_back(std::make_unique<ShardSink>(this, i));
-    }
-  }
-
-  void deliver(std::size_t shard, OwnedEvent&& event) WM_EXCLUDES(mutex) {
-    const util::LockGuard lock(mutex);
-    event.shard = shard;
-    event.seq = next_seq++;
-    buffer.insert(std::move(event));
-  }
-
-  void watermark(std::size_t shard, std::int64_t frontier)
-      WM_EXCLUDES(mutex) {
-    const util::LockGuard lock(mutex);
-    if (shard >= watermarks.size()) return;
-    watermarks[shard] = std::max(watermarks[shard], frontier);
-    std::int64_t barrier = std::numeric_limits<std::int64_t>::max();
-    for (const std::int64_t mark : watermarks) barrier = std::min(barrier, mark);
-    // No release until every shard has reported at least once.
-    if (barrier == kNoTime) return;
-    // The slack covers timer emissions trailing a shard's feed
-    // frontier: the wheel fires deadlines strictly before the frontier
-    // tick, so events up to one tick behind it are still possible.
-    if (barrier > kNoTime + slack) barrier -= slack;
-    release(barrier);
-  }
-
-  void flush() WM_EXCLUDES(mutex) {
-    const util::LockGuard lock(mutex);
-    release(std::numeric_limits<std::int64_t>::max());
-  }
-
-  /// Forward every buffered event with time <= barrier, oldest first.
-  /// Caller holds the lock; the downstream sink is thus called
-  /// serially, as the contract promises.
-  void release(std::int64_t barrier) WM_REQUIRES(mutex) {
-    while (!buffer.empty() && buffer.begin()->at_nanos <= barrier) {
-      forward(*buffer.begin());
-      buffer.erase(buffer.begin());
-    }
-  }
-
-  /// Holding the lock across the downstream call *is* the contract:
-  /// it serializes on_* callbacks for sinks that are not thread-safe.
-  void forward(const OwnedEvent& event) WM_REQUIRES(mutex) {
-    switch (event.kind) {
-      case OwnedEvent::Kind::kQuestion: {
-        engine::QuestionOpenedEvent out;
-        out.client = event.client;
-        out.question = event.question;
-        out.record_length = event.record_length;
-        downstream.on_question_opened(out);
-        break;
-      }
-      case OwnedEvent::Kind::kChoice: {
-        engine::ChoiceInferredEvent out;
-        out.client = event.client;
-        out.question = event.question;
-        out.record_length = event.record_length;
-        out.at = event.at;
-        out.final = event.final_answer;
-        downstream.on_choice_inferred(out);
-        break;
-      }
-      case OwnedEvent::Kind::kEvicted: {
-        engine::ViewerEvictedEvent out;
-        out.client = event.client;
-        out.reason = event.reason;
-        out.at = event.at;
-        out.questions_emitted = event.questions_emitted;
-        downstream.on_viewer_evicted(out);
-        break;
-      }
-      case OwnedEvent::Kind::kGap: {
-        engine::GapObservedEvent out;
-        out.client = event.client;
-        out.gap = event.gap;
-        downstream.on_gap_observed(out);
-        break;
-      }
-    }
-  }
-
-  engine::EventSink& downstream;
-  const std::int64_t slack;
-  // wm-lint: allow(mutex): collector merge point — one event per
-  // question/choice/eviction, orders of magnitude rarer than packets.
-  util::Mutex mutex;
-  std::vector<std::int64_t> watermarks WM_GUARDED_BY(mutex);
-  std::multiset<OwnedEvent, OwnedEventOrder> buffer WM_GUARDED_BY(mutex);
-  std::uint64_t next_seq WM_GUARDED_BY(mutex) = 0;
-  std::vector<std::unique_ptr<ShardSink>> sinks;
-};
-
-OrderingCollector::OrderingCollector(std::size_t shards,
-                                     engine::EventSink& downstream,
-                                     util::Duration slack)
-    : impl_(std::make_unique<Impl>(shards, downstream, slack)) {}
-
-OrderingCollector::~OrderingCollector() = default;
-
-engine::EventSink& OrderingCollector::shard_sink(std::size_t shard) {
-  return *impl_->sinks.at(shard);
-}
-
-void OrderingCollector::watermark(std::size_t shard,
-                                  std::int64_t frontier_nanos) {
-  impl_->watermark(shard, frontier_nanos);
-}
-
-void OrderingCollector::flush() { impl_->flush(); }
-
-std::size_t OrderingCollector::pending() const {
-  const util::LockGuard lock(impl_->mutex);
-  return impl_->buffer.size();
 }
 
 // --- SourceRoute ----------------------------------------------------------
@@ -482,13 +272,6 @@ struct MonitorFleet::Impl {
   Impl(const core::RecordClassifier& classifier_in, FleetConfig config_in,
        engine::EventSink* sink_in)
       : classifier(classifier_in), config(normalize(std::move(config_in))) {
-    if (config.global_order && sink_in != nullptr) {
-      // One wheel tick of slack: timer emissions may trail a shard's
-      // feed frontier by up to a tick (deadline truncation).
-      collector = std::make_unique<OrderingCollector>(
-          config.shards, *sink_in, config.monitor.wheel.tick);
-    }
-
     links.resize(config.sources);
     for (auto& row : links) {
       row.reserve(config.shards);
@@ -502,10 +285,8 @@ struct MonitorFleet::Impl {
 
     shards = std::vector<Shard>(config.shards);
     for (std::size_t d = 0; d < config.shards; ++d) {
-      engine::EventSink* shard_sink =
-          collector != nullptr ? &collector->shard_sink(d) : sink_in;
       shards[d].monitor = std::make_unique<ContinuousMonitor>(
-          classifier, shard_config(d), shard_sink);
+          classifier, shard_config(d), sink_in);
     }
     for (std::size_t d = 0; d < config.shards; ++d) {
       shards[d].worker = std::thread([this, d] { worker_loop(d); });
@@ -596,7 +377,7 @@ struct MonitorFleet::Impl {
   }
 
   /// One source: no merge needed — a plain blocking pop for the first
-  /// packet, then batch drains, exactly like InjectableTap's consumer.
+  /// packet, then batch drains.
   /// Each drain is fed as one run, then its buffers go home.
   void single_source_loop(std::size_t shard) {
     Shard& state = shards[shard];
@@ -613,9 +394,7 @@ struct MonitorFleet::Impl {
         feeds += got;
         if ((feeds & 1023u) < got) publish_gauges(shard);
       } while ((got = ring.try_pop_n(staged.data(), staged.size())) > 0);
-      if (collector != nullptr) collector->watermark(shard, state.max_fed);
     }
-    if (collector != nullptr) collector->watermark(shard, state.max_fed);
   }
 
   /// Refill an empty lane from its ring, first handing the fed batch's
@@ -688,7 +467,6 @@ struct MonitorFleet::Impl {
 
       if (best == lanes.size()) {
         if (all_exhausted) break;
-        publish_frontier(shard, state, lanes);
         std::this_thread::sleep_for(kPollSlice);
         continue;
       }
@@ -710,7 +488,6 @@ struct MonitorFleet::Impl {
         ++lane.head;
         waited = 0;
         ++feeds;
-        if ((feeds & 127u) == 0) publish_frontier(shard, state, lanes);
         if ((feeds & 1023u) == 0) publish_gauges(shard);
         continue;
       }
@@ -734,47 +511,9 @@ struct MonitorFleet::Impl {
         waited = 0;
         continue;
       }
-      publish_frontier(shard, state, lanes);
       std::this_thread::sleep_for(kPollSlice);
       waited += kPollSliceNanos;
     }
-    if (collector != nullptr) collector->watermark(shard, state.max_fed);
-  }
-
-  /// Collector frontier: nothing this shard feeds from now on can be
-  /// older than the minimum over its open lanes (staged head, else the
-  /// lane's low bound). Exact absent merge deferrals; a deferral may
-  /// let one straggler event slip the barrier (documented trade).
-  static std::int64_t frontier(const std::vector<Lane>& lanes,
-                               std::int64_t max_fed) {
-    std::int64_t low = std::numeric_limits<std::int64_t>::max();
-    bool any_open = false;
-    for (const Lane& lane : lanes) {
-      if (lane.exhausted) continue;
-      any_open = true;
-      low = std::min(low, lane.has_staged() ? lane.head_nanos() : lane.low_bound);
-    }
-    return any_open ? low : max_fed;
-  }
-
-  /// Publish the merge frontier to the ordering collector. The
-  /// watermark promise ("no future event from this shard is older")
-  /// must cover timer fires as well as packets: a pending evidence
-  /// window or idle deadline inside a traffic gap would otherwise fire
-  /// *behind* a frontier taken from the staged packet heads. Advancing
-  /// the wheel to just under the frontier first fires exactly the
-  /// timers the next feed would fire anyway (feed's advance is
-  /// strictly-before its packet), so the event stream is unchanged —
-  /// the deadlines just stop trailing the promise.
-  void publish_frontier(std::size_t shard, Shard& state,
-                        const std::vector<Lane>& lanes) {
-    if (collector == nullptr) return;
-    const std::int64_t mark = frontier(lanes, state.max_fed);
-    if (mark > state.max_fed && mark != kNoTime) {
-      state.monitor->advance_to(util::SimTime::from_nanos(mark - 1));
-      state.max_fed = mark - 1;
-    }
-    collector->watermark(shard, mark);
   }
 
   // --- lifecycle --------------------------------------------------------
@@ -864,18 +603,12 @@ struct MonitorFleet::Impl {
     if (horizon != kNoTime) {
       for (Shard& shard : shards) {
         shard.monitor->advance_to(util::SimTime::from_nanos(horizon));
-        if (collector != nullptr) {
-          // advance_to may emit (window closes, idle evictions) — let
-          // the collector release them before the shutdown flush.
-          collector->watermark(shard_index(shard), horizon);
-        }
       }
     }
     stats.shards.reserve(shards.size());
     for (Shard& shard : shards) {
       stats.shards.push_back(shard.monitor->finish());
     }
-    if (collector != nullptr) collector->flush();
 
     for (const MonitorStats& s : stats.shards) accumulate(stats.totals, s);
     stats.packets = totals.packets.load(std::memory_order_relaxed);
@@ -892,10 +625,6 @@ struct MonitorFleet::Impl {
       }
     }
     return stats;
-  }
-
-  [[nodiscard]] std::size_t shard_index(const Shard& shard) const {
-    return static_cast<std::size_t>(&shard - shards.data());
   }
 
   static void accumulate(MonitorStats& total, const MonitorStats& shard) {
@@ -925,7 +654,6 @@ struct MonitorFleet::Impl {
 
   const core::RecordClassifier& classifier;
   const FleetConfig config;
-  std::unique_ptr<OrderingCollector> collector;
   /// links[source][shard]: the packet ring's producer is that source's
   /// route and its consumer that shard's worker; the buffer ring runs
   /// the other way. Strict SPSC per ring.
@@ -972,15 +700,8 @@ void MonitorFleet::attach(InjectableTap& tap) {
     throw std::logic_error("MonitorFleet: tap is already bound to a fleet");
   }
   SourceRoute& route = impl_->bind_tap();
-  // Whatever was injected before the bind goes first.
-  std::vector<net::Packet> queued(tap.ring_.size_approx());
-  queued.resize(tap.ring_.try_pop_n(queued.data(), queued.size()));
-  route.route(queued.data(), queued.size(), /*refill=*/false);
-  if (tap.closed()) {
-    route.end();
-  } else {
-    tap.route_ = &route;
-  }
+  tap.route_ = &route;
+  if (tap.closed()) route.end();
 }
 
 std::size_t MonitorFleet::consume(engine::PacketSource& source) {

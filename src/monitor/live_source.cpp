@@ -34,28 +34,24 @@ class InjectableTap::RouteUse {
 };
 
 bool InjectableTap::inject(net::Packet packet) {
-  if (route_ == nullptr) return ring_.push(std::move(packet));
   const RouteUse use(*this);
   return use.get() != nullptr && use.get()->route(&packet, 1, /*refill=*/false) == 1;
 }
 
 bool InjectableTap::try_inject(net::Packet& packet) {
-  if (route_ == nullptr) return !closed() && ring_.try_push(packet);
   const RouteUse use(*this);
   return use.get() != nullptr && use.get()->try_route(packet);
 }
 
 std::size_t InjectableTap::inject_batch(net::Packet* packets, std::size_t count) {
-  if (route_ == nullptr) return ring_.push_n(packets, count);
   const RouteUse use(*this);
   return use.get() != nullptr ? use.get()->route(packets, count, /*refill=*/false) : 0;
 }
 
 void InjectableTap::close() {
-  ring_.close();
-  if (route_ == nullptr) return;
   std::uint32_t calls = route_calls_.fetch_or(kRouteClosed, std::memory_order_acquire);
-  if ((calls & kRouteClosed) != 0) return;  // closed before
+  // Closed before, or not bound yet (the bind ends the slot then).
+  if ((calls & kRouteClosed) != 0 || route_ == nullptr) return;
   // Wake a producer parked on a full shard ring, let every call in
   // flight return, then end the slot: after that the fleet may go.
   route_->close_links();
@@ -68,34 +64,8 @@ void InjectableTap::close() {
 }
 
 std::size_t InjectableTap::queued_approx() const {
-  if (route_ == nullptr) return ring_.size_approx();
   const RouteUse use(*this);
   return use.get() != nullptr ? use.get()->queued_approx() : 0;
-}
-
-std::optional<net::Packet> InjectableTap::next() {
-  net::Packet packet;
-  if (!ring_.pop(packet)) return std::nullopt;
-  return packet;
-}
-
-std::size_t InjectableTap::read_batch(engine::PacketBatch& out,
-                                      std::size_t max) {
-  out.clear();
-  if (max == 0) return 0;
-  net::Packet first;
-  if (!ring_.pop(first)) return 0;  // closed and fully drained
-  out.append(std::move(first));
-  if (max == 1) return 1;
-  // Drain whatever else is already queued without parking again. The
-  // scratch slots and the batch slots trade buffers by move, so the
-  // steady state allocates nothing.
-  scratch_.resize(max - 1);
-  const std::size_t extra = ring_.try_pop_n(scratch_.data(), scratch_.size());
-  for (std::size_t i = 0; i < extra; ++i) {
-    out.append(std::move(scratch_[i]));
-  }
-  return 1 + extra;
 }
 
 std::chrono::steady_clock::time_point TimedReplaySource::due_at(

@@ -1,7 +1,7 @@
 // ContinuousMonitor: online emission equivalence against the batch
 // decoder, multi-viewer separation, idle eviction and memory shedding,
 // feed_batch chunking invariance, and the live-source drivers
-// (InjectableTap, TimedReplaySource).
+// (InjectableTap through a one-shard fleet, TimedReplaySource).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "wm/core/pipeline.hpp"
+#include "wm/monitor/fleet.hpp"
 #include "wm/monitor/live_source.hpp"
 #include "wm/monitor/monitor.hpp"
 #include "wm/monitor/workload.hpp"
@@ -311,7 +312,9 @@ void expect_chunking_invariant(const std::vector<net::Packet>& packets,
   ASSERT_GT(single_stats.choices_inferred, 0u);
   ASSERT_GT(single_stats.viewers_evicted_idle, 0u);
   ASSERT_GT(single_stats.flows_swept, 0u);
-  if (impaired) ASSERT_GT(single_stats.gaps_observed, 0u);
+  if (impaired) {
+    ASSERT_GT(single_stats.gaps_observed, 0u);
+  }
 
   TranscriptSink chunked_sink;
   ContinuousMonitor chunked(classifier, config, &chunked_sink);
@@ -356,43 +359,6 @@ TEST(Monitor, FeedBatchChunkingMatchesPerPacketFeed) {
   expect_chunking_invariant(impaired, classifier, 4403, /*impaired=*/true);
 }
 
-TEST(Monitor, InjectableTapDeliversInjectedPackets) {
-  WorkloadConfig workload;
-  workload.sessions = 1;
-  workload.concurrency = 1;
-  workload.questions_per_session = 3;
-  core::IntervalClassifier classifier;
-  classifier.fit(workload_calibration(workload));
-
-  SyntheticFleetSource fleet(workload);
-  std::vector<net::Packet> packets;
-  engine::PacketBatch batch;
-  while (fleet.read_batch(batch, 64) != 0) {
-    for (const net::Packet& packet : batch) packets.push_back(packet);
-  }
-  ASSERT_FALSE(packets.empty());
-
-  InjectableTap tap(16);  // smaller than the capture: forces recycling
-  std::size_t drained = 0;
-  engine::PacketBatch drain;
-  for (const net::Packet& packet : packets) {
-    net::Packet copy = packet;
-    // Single-threaded test: drain only when the ring is full, so the
-    // blocking first-pop inside read_batch never waits.
-    while (!tap.try_inject(copy)) {
-      drained += tap.read_batch(drain, 8);
-    }
-  }
-  tap.close();
-  EXPECT_TRUE(tap.closed());
-
-  std::size_t got;
-  while ((got = tap.read_batch(drain, 32)) != 0) drained += got;
-  // Everything injected comes out exactly once.
-  EXPECT_EQ(drained, packets.size());
-  EXPECT_FALSE(tap.next().has_value());
-}
-
 TEST(Monitor, InjectableTapRoundTripsThroughMonitor) {
   const story::StoryGraph graph = story::make_bandersnatch();
   const AttackPipeline attack = calibrated_pipeline(graph);
@@ -400,17 +366,19 @@ TEST(Monitor, InjectableTapRoundTripsThroughMonitor) {
   config.seed = 77400;
   const auto victim = sim::simulate_session(graph, alternating(13, true), config);
 
-  InjectableTap tap(victim.capture.packets.size() + 1);
+  // A single monitor with a live tap is a one-shard fleet: producer ->
+  // one SPSC ring -> one worker.
+  CollectingSink sink;
+  FleetConfig fleet_config;
+  fleet_config.monitor = test_config();
+  MonitorFleet fleet(attack.classifier(), fleet_config, &sink);
+  InjectableTap tap;
+  fleet.attach(tap);
   for (const net::Packet& packet : victim.capture.packets) {
-    net::Packet copy = packet;
-    ASSERT_TRUE(tap.try_inject(copy));
+    ASSERT_TRUE(tap.inject(packet));
   }
   tap.close();
-
-  CollectingSink sink;
-  ContinuousMonitor monitor(attack.classifier(), test_config(), &sink);
-  EXPECT_EQ(monitor.consume(tap), victim.capture.packets.size());
-  monitor.finish();
+  EXPECT_EQ(fleet.finish().packets, victim.capture.packets.size());
 
   engine::VectorSource batch_source(&victim.capture.packets);
   const core::InferredSession batch = attack.infer(batch_source).combined;

@@ -3,10 +3,10 @@
 // count and source count, per-viewer emission streams (choices,
 // question times, confidence, evictions) are identical to one
 // ContinuousMonitor fed the same capture, clean and under drop/jitter
-// impairments. Plus: global-order delivery through OrderingCollector,
-// rollup metric accounting, viewer-hash routing invariants, and a
-// tiny-ring stress leg (backpressure + shutdown-while-feeding + the
-// abort-without-finish destructor path), buffer recycling through
+// impairments. Plus: rollup metric accounting, viewer-hash routing
+// invariants, and a tiny-ring stress leg (backpressure +
+// shutdown-while-feeding + the abort-without-finish destructor path),
+// buffer recycling through
 // the return rings under constant backpressure, and taps bound to the
 // fleet (routing on the producer's thread, shutdown, ring parks).
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -34,6 +35,7 @@
 #include "wm/obs/registry.hpp"
 #include "wm/sim/impairments.hpp"
 #include "wm/util/rng.hpp"
+#include "wm/util/spsc_ring.hpp"
 
 namespace wm::monitor {
 namespace {
@@ -58,38 +60,24 @@ struct FleetSink final : engine::EventSink {
   std::map<std::string, std::size_t> opened;
   std::map<std::string, std::vector<Eviction>> evictions;
   std::map<std::string, std::size_t> gaps;
-  /// The event-time key of every callback in delivery order — the
-  /// sequence OrderingCollector promises is non-decreasing (except
-  /// shutdown-flush evictions, whose `at` is backdated by contract).
-  struct Delivery {
-    std::int64_t at_nanos = 0;
-    bool shutdown_eviction = false;
-  };
-  std::vector<Delivery> delivery_times;
 
   void on_question_opened(const engine::QuestionOpenedEvent& event) override {
     const std::lock_guard<std::mutex> lock(mu);
     ++opened[std::string(event.client)];
-    delivery_times.push_back({event.question.question_time.nanos(), false});
   }
   void on_choice_inferred(const engine::ChoiceInferredEvent& event) override {
     const std::lock_guard<std::mutex> lock(mu);
     choices[std::string(event.client)].push_back(
         Emitted{event.question, event.at.nanos(), event.final});
-    delivery_times.push_back({event.at.nanos(), false});
   }
   void on_viewer_evicted(const engine::ViewerEvictedEvent& event) override {
     const std::lock_guard<std::mutex> lock(mu);
     evictions[std::string(event.client)].push_back(
         Eviction{event.reason, event.at.nanos(), event.questions_emitted});
-    delivery_times.push_back(
-        {event.at.nanos(),
-         event.reason == engine::ViewerEvictedEvent::Reason::kShutdown});
   }
   void on_gap_observed(const engine::GapObservedEvent& event) override {
     const std::lock_guard<std::mutex> lock(mu);
     ++gaps[std::string(event.client)];
-    delivery_times.push_back({event.gap.at.nanos(), false});
   }
 };
 
@@ -154,8 +142,7 @@ struct FleetRun {
 
 void run_fleet(const core::RecordClassifier& classifier,
                const std::vector<net::Packet>& packets, std::size_t shards,
-               std::size_t sources, FleetRun& out,
-               bool global_order = false) {
+               std::size_t sources, FleetRun& out) {
   FleetConfig config;
   config.shards = shards;
   config.sources = sources;
@@ -165,7 +152,6 @@ void run_fleet(const core::RecordClassifier& classifier,
   // exact, not statistical.
   config.ring_capacity = packets.size() + 1;
   config.merge_wait = util::Duration::seconds(30);
-  config.global_order = global_order;
   config.monitor = diff_config();
 
   MonitorFleet fleet(classifier, config, &out.sink);
@@ -290,47 +276,6 @@ TEST(MonitorFleet, DifferentialHoldsUnderDropAndJitter) {
   run_matrix(impaired, classifier, "impaired");
 }
 
-TEST(MonitorFleet, GlobalOrderDeliveryIsTimeSorted) {
-  const WorkloadConfig workload = small_fleet_workload();
-  core::IntervalClassifier classifier;
-  classifier.fit(workload_calibration(workload));
-  const std::vector<net::Packet> packets = materialize(workload);
-
-  ReferenceRun reference;
-  run_reference(classifier, packets, reference);
-
-  FleetRun fleet;
-  run_fleet(classifier, packets, /*shards=*/4, /*sources=*/4, fleet,
-            /*global_order=*/true);
-
-  // Same per-viewer streams as ever...
-  expect_equal_streams(fleet.sink, reference.sink, "global-order");
-  // ...but delivery is additionally a single global time-sorted
-  // sequence across viewers and shards. Shutdown-flush evictions are
-  // exempt (their `at` is the viewer's last activity, backdated by
-  // contract); they arrive last, sorted among themselves.
-  ASSERT_FALSE(fleet.sink.delivery_times.empty());
-  std::vector<std::int64_t> ordered;
-  std::vector<std::int64_t> shutdown_flush;
-  bool flush_started = false;
-  for (const auto& delivery : fleet.sink.delivery_times) {
-    if (delivery.shutdown_eviction) {
-      flush_started = true;
-      shutdown_flush.push_back(delivery.at_nanos);
-    } else {
-      // Once the shutdown flush begins, only its own backlog remains
-      // behind already-released events; everything else stays sorted.
-      if (!flush_started) ordered.push_back(delivery.at_nanos);
-    }
-  }
-  ASSERT_FALSE(ordered.empty());
-  ASSERT_FALSE(shutdown_flush.empty());
-  EXPECT_TRUE(std::is_sorted(ordered.begin(), ordered.end()));
-  EXPECT_TRUE(std::is_sorted(shutdown_flush.begin(), shutdown_flush.end()));
-  EXPECT_EQ(fleet.sink.delivery_times.size(),
-            reference.sink.delivery_times.size());
-}
-
 TEST(MonitorFleet, RollupCountersMatchShardSumAndSingleMonitor) {
   const WorkloadConfig workload = small_fleet_workload();
   core::IntervalClassifier classifier;
@@ -414,8 +359,36 @@ TEST(MonitorFleet, ViewerHashPinsEverySessionPacketToOneShard) {
   EXPECT_GT(buckets.size(), 2u);
 }
 
-/// Both ways a fleet takes a tap: bound (its producers route) and as a
-/// plain PacketSource (a pump thread pulls it through read_batch).
+/// A live pull source: a producer thread pushes, and read_batch blocks
+/// for the first packet, then takes whatever else is already queued.
+class ProducerFedSource final : public engine::PacketSource {
+ public:
+  explicit ProducerFedSource(std::size_t capacity) : ring_(capacity) {}
+
+  bool push(net::Packet packet) { return ring_.push(std::move(packet)); }
+  void close() { ring_.close(); }
+
+  std::optional<net::Packet> next() override {
+    net::Packet packet;
+    if (!ring_.pop(packet)) return std::nullopt;
+    return packet;
+  }
+  std::size_t read_batch(engine::PacketBatch& out, std::size_t max) override {
+    out.clear();
+    net::Packet packet;
+    if (max == 0 || !ring_.pop(packet)) return 0;
+    do {
+      out.append(std::move(packet));
+    } while (out.size() < max && ring_.try_pop(packet));
+    return out.size();
+  }
+
+ private:
+  util::SpscRing<net::Packet> ring_;
+};
+
+/// Both ways a live feed reaches the fleet: bound taps (their producers
+/// route) and producer-fed pull sources (pump threads read them).
 TEST(MonitorFleet, StressTinyRingsBackpressureAndShutdownWhileFeeding) {
   WorkloadConfig workload;
   workload.sessions = 48;
@@ -427,7 +400,7 @@ TEST(MonitorFleet, StressTinyRingsBackpressureAndShutdownWhileFeeding) {
   const auto parts = split_by_viewer(packets, 4);
 
   for (const bool bound : {true, false}) {
-    const std::string label = bound ? "bound taps" : "pumped taps";
+    const std::string label = bound ? "bound taps" : "pumped sources";
     FleetSink sink;
     FleetConfig config;
     config.shards = 4;
@@ -439,28 +412,34 @@ TEST(MonitorFleet, StressTinyRingsBackpressureAndShutdownWhileFeeding) {
 
     MonitorFleet fleet(classifier, config, &sink);
     std::vector<std::unique_ptr<InjectableTap>> taps;
-    for (std::size_t i = 0; i < 4; ++i)
-      taps.push_back(std::make_unique<InjectableTap>(/*capacity=*/8));
-    for (auto& tap : taps) {
+    std::vector<std::unique_ptr<ProducerFedSource>> sources;
+    for (std::size_t i = 0; i < 4; ++i) {
       if (bound) {
-        fleet.attach(*tap);
+        taps.push_back(std::make_unique<InjectableTap>());
+        fleet.attach(*taps.back());
       } else {
-        fleet.attach(static_cast<engine::PacketSource&>(*tap));
+        sources.push_back(std::make_unique<ProducerFedSource>(/*capacity=*/8));
+        fleet.attach(*sources.back());
       }
     }
 
-    // Producers inject through bounded taps while the main thread is
-    // already inside finish(): shutdown races live feeding, and finish()
-    // must block until every tap closes, then account for every packet.
+    // Producers feed while the main thread is already inside finish():
+    // shutdown races live feeding, and finish() must block until every
+    // source ends, then account for every packet.
     std::vector<std::thread> producers;
-    producers.reserve(taps.size());
-    for (std::size_t i = 0; i < taps.size(); ++i) {
-      producers.emplace_back([&taps, &parts, i] {
+    producers.reserve(parts.size());
+    for (std::size_t i = 0; i < parts.size(); ++i) {
+      producers.emplace_back([&taps, &sources, &parts, bound, i] {
         for (const net::Packet& packet : parts[i]) {
           net::Packet copy = packet;
-          EXPECT_TRUE(taps[i]->inject(std::move(copy)));
+          EXPECT_TRUE(bound ? taps[i]->inject(std::move(copy))
+                            : sources[i]->push(std::move(copy)));
         }
-        taps[i]->close();
+        if (bound) {
+          taps[i]->close();
+        } else {
+          sources[i]->close();
+        }
       });
     }
     const FleetStats stats = fleet.finish();
@@ -545,7 +524,7 @@ TEST(MonitorFleet, RecycledBuffersKeepStreamsExactUnderBackpressure) {
     auto first_file = engine::open_capture(files[0]);
     auto second_file = engine::open_capture(files[1]);
     ASSERT_TRUE(first_file.ok() && second_file.ok()) << label;
-    InjectableTap tap(/*capacity=*/8);
+    InjectableTap tap;
     {
       MonitorFleet fleet(classifier, config, &sink);
       fleet.attach(borrowed);
@@ -640,9 +619,9 @@ TEST(MonitorFleet, BoundTapReusingOneArrayKeepsStreamsExact) {
   }
 }
 
-/// Global-order delivery through bound taps, one source (the worker's
-/// plain drain) and two (the timestamp merge, fed by two producers).
-TEST(MonitorFleet, BoundTapsWithGlobalOrderMatchSingleMonitor) {
+/// Bound taps, one source (the worker's plain drain) and two (the
+/// timestamp merge, fed by two producers).
+TEST(MonitorFleet, BoundTapsMatchSingleMonitor) {
   const WorkloadConfig workload = small_fleet_workload();
   core::IntervalClassifier classifier;
   classifier.fit(workload_calibration(workload));
@@ -651,13 +630,12 @@ TEST(MonitorFleet, BoundTapsWithGlobalOrderMatchSingleMonitor) {
   run_reference(classifier, packets, reference);
 
   for (const std::size_t sources : {1u, 2u}) {
-    const std::string label = "global-order taps=" + std::to_string(sources);
+    const std::string label = "taps=" + std::to_string(sources);
     FleetConfig config;
     config.shards = 4;
     config.sources = sources;
     config.ring_capacity = packets.size() + 1;
     config.merge_wait = util::Duration::seconds(30);
-    config.global_order = true;
     config.monitor = diff_config();
 
     FleetRun fleet;
@@ -666,22 +644,13 @@ TEST(MonitorFleet, BoundTapsWithGlobalOrderMatchSingleMonitor) {
     expect_equal_streams(fleet.sink, reference.sink, label);
     expect_equal_totals(fleet.stats, reference.stats, label);
     EXPECT_EQ(fleet.stats.merge_deferrals, 0u) << label;
-    std::vector<std::int64_t> ordered;
-    for (const auto& delivery : fleet.sink.delivery_times) {
-      if (delivery.shutdown_eviction) break;
-      ordered.push_back(delivery.at_nanos);
-    }
-    ASSERT_FALSE(ordered.empty()) << label;
-    EXPECT_TRUE(std::is_sorted(ordered.begin(), ordered.end())) << label;
-    EXPECT_EQ(fleet.sink.delivery_times.size(),
-              reference.sink.delivery_times.size())
-        << label;
   }
 }
 
-/// Packets a tap queued before it was bound reach the fleet first; a
-/// second bind of the same tap is refused.
-TEST(MonitorFleet, BindingATapRoutesWhatItAlreadyQueued) {
+/// A tap refuses injects until it is bound, leaving the packet as it
+/// was; a second bind of the same tap is refused. Once bound, the whole
+/// capture through it matches the single monitor.
+TEST(MonitorFleet, UnboundTapRefusesInjectsAndBindsOnce) {
   const WorkloadConfig workload = small_fleet_workload();
   core::IntervalClassifier classifier;
   classifier.fit(workload_calibration(workload));
@@ -694,23 +663,49 @@ TEST(MonitorFleet, BindingATapRoutesWhatItAlreadyQueued) {
   config.sources = 2;
   config.monitor = diff_config();
   FleetSink sink;
-  InjectableTap tap(/*capacity=*/64);
-  const std::size_t early = 40;
-  for (std::size_t i = 0; i < early; ++i) ASSERT_TRUE(tap.inject(packets[i]));
+  InjectableTap tap;
+  net::Packet early = packets.front();
+  EXPECT_FALSE(tap.try_inject(early));
+  EXPECT_EQ(tap.inject_batch(&early, 1), 0u);
+  EXPECT_EQ(early.data, packets.front().data);
+  EXPECT_EQ(early.timestamp.nanos(), packets.front().timestamp.nanos());
+  EXPECT_FALSE(tap.inject(packets.front()));
+  EXPECT_EQ(tap.queued_approx(), 0u);
+  EXPECT_FALSE(tap.closed());
   {
     MonitorFleet fleet(classifier, config, &sink);
     fleet.attach(tap);
     EXPECT_THROW(fleet.attach(tap), std::logic_error);
-    for (std::size_t i = early; i < packets.size(); ++i) {
-      net::Packet copy = packets[i];
+    for (const net::Packet& packet : packets) {
+      net::Packet copy = packet;
       ASSERT_TRUE(tap.try_inject(copy) || tap.inject(std::move(copy)));
     }
     tap.close();
     const FleetStats stats = fleet.finish();
     EXPECT_EQ(stats.packets, packets.size());
-    expect_equal_streams(sink, reference.sink, "queued before bind");
-    expect_equal_totals(stats, reference.stats, "queued before bind");
+    expect_equal_streams(sink, reference.sink, "bound after refusals");
+    expect_equal_totals(stats, reference.stats, "bound after refusals");
   }
+}
+
+/// A tap closed before its bind ends the slot at the bind: the fleet
+/// drains and finishes without waiting on it, and it refuses injects.
+TEST(MonitorFleet, TapClosedBeforeBindEndsItsSlot) {
+  const WorkloadConfig workload = small_fleet_workload();
+  core::IntervalClassifier classifier;
+  classifier.fit(workload_calibration(workload));
+  const std::vector<net::Packet> packets = materialize(workload);
+
+  InjectableTap tap;
+  tap.close();
+  EXPECT_TRUE(tap.closed());
+  FleetConfig config;
+  config.shards = 2;
+  MonitorFleet fleet(classifier, config);
+  fleet.attach(tap);
+  EXPECT_TRUE(fleet.drained());
+  EXPECT_FALSE(tap.inject(packets.front()));
+  EXPECT_EQ(fleet.finish().packets, 0u);
 }
 
 /// A bound tap may outlive its fleet: once closed, it never touches the
@@ -742,7 +737,6 @@ TEST(MonitorFleet, ClosedTapOutlivesItsFleet) {
   EXPECT_EQ(tap.inject_batch(&copy, 1), 0u);
   EXPECT_EQ(tap.queued_approx(), 0u);
   EXPECT_TRUE(tap.closed());
-  EXPECT_FALSE(tap.next().has_value());
   tap.close();
 }
 
