@@ -370,9 +370,12 @@ RecordStreamExtractor::FlowMap::iterator RecordStreamExtractor::erase_flow(
 void RecordStreamExtractor::index_insert(std::uint64_t hash,
                                          FlowMap::iterator it) {
   // Grow (or purge tombstones) at 3/4 occupancy so probes stay short.
+  // The rebuild walks flows_, which already holds `it`, so it indexes
+  // the new flow too.
   if (index_.empty() ||
       (index_live_ + index_tombstones_ + 1) * 4 > index_.size() * 3) {
     index_grow();
+    return;
   }
   const std::size_t mask = index_.size() - 1;
   std::size_t pos = hash & mask;

@@ -260,6 +260,48 @@ TEST(RecordStreamExtractor, IgnoresNonTcpTraffic) {
   EXPECT_TRUE(extractor.finish().empty());
 }
 
+/// A bare TCP segment from 10.1.x.y:`port` to 198.45.48.10:443.
+net::Packet bare_segment(SimTime at, std::uint16_t port, bool syn, bool rst) {
+  net::TcpHeader tcp;
+  tcp.source_port = port;
+  tcp.destination_port = 443;
+  tcp.sequence = 1000;
+  tcp.syn = syn;
+  tcp.rst = rst;
+  tcp.ack = rst;
+  return net::build_tcp_packet(
+      at, *net::MacAddress::parse("02:00:00:00:00:01"),
+      *net::MacAddress::parse("02:00:00:00:00:02"),
+      net::Ipv4Address(10, 1, static_cast<std::uint8_t>(port >> 8),
+                       static_cast<std::uint8_t>(port & 0xff)),
+      net::Ipv4Address(198, 45, 48, 10), tcp, {}, 1);
+}
+
+TEST(RecordStreamExtractor, FlowInsertedAtIndexGrowthIsIndexedOnce) {
+  // The 768th flow's insert grows the 1024-slot index. Erasing it (RST)
+  // must leave no index slot pointing at its freed node, so a new SYN on
+  // the same 4-tuple opens a fresh flow.
+  RecordStreamExtractor extractor;
+  std::vector<StreamEvent> out;
+  SimTime t = SimTime::from_seconds(1.0);
+  const auto feed = [&](const net::Packet& packet) {
+    extractor.feed_batch(&packet, 1, out);
+    t += Duration::micros(10);
+  };
+  for (std::uint16_t i = 1; i <= 769; ++i) {
+    feed(bare_segment(t, static_cast<std::uint16_t>(20000 + i), true, false));
+  }
+  ASSERT_EQ(extractor.active_flows(), 769u);
+  feed(bare_segment(t, 20768, false, true));
+  EXPECT_EQ(extractor.active_flows(), 768u);
+  EXPECT_EQ(extractor.flows_completed(), 1u);
+  feed(bare_segment(t, 20768, true, false));
+  EXPECT_EQ(extractor.flows_opened(), 770u);
+  EXPECT_EQ(extractor.active_flows(), 769u);
+  EXPECT_TRUE(extractor.flush().empty());
+  EXPECT_EQ(extractor.active_flows(), 0u);
+}
+
 TEST(RecordStreamExtractor, LiveFlowStateStaysSmallAndEventsUnchanged) {
   // 1,000 synthetic sessions, each closed with FIN, so every flow stays
   // live (no idle timeout here). Each server handshake flight spans
