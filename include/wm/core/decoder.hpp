@@ -100,7 +100,8 @@ class ChoiceDecoder {
 
   ChoiceDecoder() = default;  // no gap history
   /// Keeps at most `gap_capacity` gaps; once full, the earliest recorded
-  /// falls off first. Zero keeps no gap history.
+  /// falls off first. Zero keeps no gap history. The ring is allocated,
+  /// at exactly `gap_capacity`, by the first add_gap().
   explicit ChoiceDecoder(std::size_t gap_capacity);
 
   void add_gap(GapSpan gap);
@@ -115,7 +116,8 @@ class ChoiceDecoder {
   [[nodiscard]] const InferredQuestion& question() const { return question_; }
   /// Questions opened over the decoder's lifetime (the last index).
   [[nodiscard]] std::size_t questions_opened() const { return opened_; }
-  /// Heap bytes held by the gap ring.
+  /// Heap bytes held by the gap ring: zero until the first gap, then
+  /// gap_capacity * sizeof(GapSpan) for the decoder's life.
   [[nodiscard]] std::size_t memory_bytes() const {
     return gaps_.capacity() * sizeof(GapSpan);
   }

@@ -19,7 +19,7 @@ struct EngineStats {
   std::uint64_t type2_records = 0;     // classified override markers
   std::uint64_t flows_opened = 0;
   std::uint64_t flows_evicted = 0;
-  std::uint64_t flows_completed = 0;  // retired cleanly (RST / flush)
+  std::uint64_t flows_completed = 0;  // retired cleanly (teardown / flush)
   /// Loss tolerance: reassembly gaps declared, stream bytes they
   /// covered, TLS resync scans that re-locked, and the bytes those
   /// scans discarded while hunting for a record boundary.

@@ -61,10 +61,12 @@ struct MonitorConfig {
   /// Zero = never (finish() flushes everyone).
   util::Duration viewer_idle_timeout = util::Duration::seconds(120);
   /// Evict per-flow reassembly/parser state idle longer than this,
-  /// swept from the timer wheel. Zero = never. Only an RST retires a
-  /// flow early: a flow closed with FIN keeps its state until this
-  /// sweep, about 1.2 KB once its parsers have drained (mostly its
-  /// map node; RecordStreamExtractor::memory_bytes() counts it).
+  /// swept from the timer wheel. Zero = never. A flow retires at its
+  /// TCP teardown (RST, or the closer's ACK of the peer's FIN), so the
+  /// sweep collects flows that never finish: abandoned connections and
+  /// closes whose final ACK was lost. Each holds about 1.2 KB once its
+  /// parsers have drained (mostly its map node;
+  /// RecordStreamExtractor::memory_bytes() counts it).
   util::Duration flow_idle_timeout = util::Duration::seconds(60);
   /// Per-flow TCP reassembly tuning for the extractor.
   net::TcpStreamReassembler::Config reassembly;
@@ -73,13 +75,15 @@ struct MonitorConfig {
 
   // --- Memory ceilings ------------------------------------------------
   /// Gap-history budget per viewer: the earliest-recorded spans fall
-  /// off first.
+  /// off first. The ring (16 bytes a span) is allocated whole at the
+  /// viewer's first gap and counted in max_total_bytes from then on; a
+  /// viewer that never sees a gap holds none.
   std::size_t max_viewer_gaps = 16;
   /// Global budget for viewer decode state (approximate bytes). The
-  /// extractor's flow state is not counted: it is bounded separately by
-  /// flow_idle_timeout and the reassembly buffer budget, so each flow
-  /// seen in the last flow_idle_timeout, FIN-closed ones included,
-  /// holds about 1.2 KB outside this budget. Crossing it sheds the
+  /// extractor's flow state is not counted: flows retire at TCP
+  /// teardown, and the rest are bounded by flow_idle_timeout and the
+  /// reassembly buffer budget, so each live or unfinished flow holds
+  /// about 1.2 KB outside this budget. Crossing it sheds the
   /// oldest-idle viewers until back under. Zero = unlimited.
   std::size_t max_total_bytes = 0;
 
@@ -112,6 +116,7 @@ struct MonitorStats {
   std::uint64_t questions_synthesized = 0;  // orphan type-2 after loss
   std::uint64_t gaps_observed = 0;
   std::uint64_t flows_swept = 0;       // wheel-driven extractor sweeps
+  std::uint64_t flows_closed = 0;      // retired at TCP teardown (FIN/RST)
   std::uint64_t timer_fires = 0;
   /// Times the global byte budget was found exceeded before shedding
   /// brought it back under. Zero across a soak = bounded memory proven.

@@ -89,6 +89,11 @@ struct StreamEvent {
 ///    each packet completed, so analysis proceeds as traffic arrives.
 ///    With Config::retain_events=false and an idle timeout set, memory
 ///    stays bounded by the number of *live* flows, not capture length.
+///
+/// A flow retires (parsers flushed, state freed) at TCP teardown: on
+/// an RST, or when the active closer ACKs the peer's FIN after both
+/// FINs were delivered in order. A flow whose final ACK is lost leaves
+/// through idle eviction, or when a new SYN reuses its 4-tuple.
 class RecordStreamExtractor {
  public:
   struct Config {
@@ -186,8 +191,12 @@ class RecordStreamExtractor {
   /// Total flows opened / evicted over the extractor's lifetime.
   [[nodiscard]] std::uint64_t flows_opened() const { return flows_opened_; }
   [[nodiscard]] std::uint64_t flows_evicted() const { return flows_evicted_; }
-  /// Flows retired cleanly (RST teardown or flush()).
+  /// Flows retired cleanly (TCP teardown or flush()).
   [[nodiscard]] std::uint64_t flows_completed() const { return flows_completed_; }
+  /// The subset of flows_completed() retired at TCP teardown: an RST,
+  /// the active closer's ACK of the peer's FIN, or a new SYN on the
+  /// 4-tuple of a connection that finished both ways.
+  [[nodiscard]] std::uint64_t flows_closed() const { return flows_closed_; }
   /// Loss-tolerance totals across all flows, live and retired.
   [[nodiscard]] std::uint64_t gaps() const { return gaps_total_; }
   [[nodiscard]] std::uint64_t gap_bytes() const { return gap_bytes_total_; }
@@ -230,6 +239,9 @@ class RecordStreamExtractor {
     /// endpoint-pair hash), kept so erasure can tombstone the slot
     /// without recomputing it.
     std::uint64_t index_hash = 0;
+    /// The direction whose FIN was delivered first: the active closer,
+    /// whose pure ACK of the peer's FIN retires the flow.
+    std::optional<net::FlowDirection> first_fin;
   };
 
   /// Flow-state authority, ordered by key so eviction sweeps and
@@ -286,8 +298,10 @@ class RecordStreamExtractor {
                    std::vector<StreamEvent>& out);
   /// Publish any not-yet-accounted TLS skip/resync deltas for a flow.
   void sync_tls_counters(PerFlow& state);
-  /// Flush parsers, snapshot, and retire one flow (RST or flush()).
+  /// Flush parsers, snapshot, and retire one flow (teardown or flush()).
   void complete_flow(FlowMap::iterator it, std::vector<StreamEvent>& out);
+  /// Both directions' FINs delivered in order (or an RST seen).
+  static bool closed_both_ways(const PerFlow& state);
 
   /// Resolved metric handles; all null when Config::registry is null.
   struct Metrics {
@@ -346,6 +360,7 @@ class RecordStreamExtractor {
   std::uint64_t flows_opened_ = 0;
   std::uint64_t flows_evicted_ = 0;
   std::uint64_t flows_completed_ = 0;
+  std::uint64_t flows_closed_ = 0;
   std::uint64_t gaps_total_ = 0;
   std::uint64_t gap_bytes_total_ = 0;
   std::uint64_t tls_skipped_total_ = 0;

@@ -24,13 +24,14 @@ void taint(InferredQuestion& question, double confidence, const char* tag) {
 }  // namespace
 
 ChoiceDecoder::ChoiceDecoder(std::size_t gap_capacity)
-    : gap_capacity_(gap_capacity) {
-  gaps_.reserve(gap_capacity);
-}
+    : gap_capacity_(gap_capacity) {}
 
 void ChoiceDecoder::add_gap(GapSpan gap) {
   if (gap_capacity_ == 0) return;
   if (gaps_.size() < gap_capacity_) {
+    // The ring is reserved whole on the first gap: lossless traffic
+    // never pays for it, and it never grows past gap_capacity_.
+    if (gaps_.empty()) gaps_.reserve(gap_capacity_);
     gaps_.push_back(gap);
     return;
   }

@@ -208,7 +208,7 @@ struct ShardedFlowEngine::Shard {
   tls::RecordStreamExtractor extractor;
   /// Cached per-flow collector key and SNI. The SNI is cached the first
   /// time the extractor resolves it so records flushed after the flow's
-  /// state is retired (RST teardown, end-of-capture flush) keep it.
+  /// state is retired (TCP teardown, end-of-capture flush) keep it.
   struct ClientInfo {
     std::string key;
     std::optional<std::string> sni;

@@ -639,6 +639,7 @@ struct MonitorFleet::Impl {
     total.questions_synthesized += shard.questions_synthesized;
     total.gaps_observed += shard.gaps_observed;
     total.flows_swept += shard.flows_swept;
+    total.flows_closed += shard.flows_closed;
     total.timer_fires += shard.timer_fires;
     total.ceiling_violations += shard.ceiling_violations;
     // Sum of per-shard peaks: an upper bound on the simultaneous peak.

@@ -20,6 +20,7 @@ std::string MonitorStats::to_string() const {
       << " choices=" << choices_inferred << " overrides=" << overrides
       << " synthesized=" << questions_synthesized
       << " gaps=" << gaps_observed << " flows_swept=" << flows_swept
+      << " flows_closed=" << flows_closed
       << " timer_fires=" << timer_fires
       << " ceiling_violations=" << ceiling_violations
       << " peak_viewers=" << peak_viewers
@@ -392,7 +393,15 @@ struct ContinuousMonitor::Impl {
       const std::uint32_t slot = viewer_of(stream_event.flow.client, gap.timestamp);
       ViewerState& viewer = arena[slot];
       const core::GapSpan span{gap.timestamp, gap.length};
+      // The viewer's first gap allocates its gap ring: account for it
+      // and hold the budget, as when a viewer opens.
+      const std::size_t ring_before = viewer.decoder.memory_bytes();
       viewer.decoder.add_gap(span);
+      if (viewer.decoder.memory_bytes() != ring_before) {
+        dynamic_bytes += viewer.decoder.memory_bytes() - ring_before;
+        note_memory();
+        enforce_budget(slot);
+      }
       ++stats.gaps_observed;
       obs::inc(gaps_c);
       if (sink != nullptr) {
@@ -483,6 +492,7 @@ struct ContinuousMonitor::Impl {
         events.clear();
         extractor.feed_lens(packet.timestamp, packet.data, slab.lens[i],
                             /*stable_payload=*/false, events);
+        stats.flows_closed = extractor.flows_closed();
         for (const tls::StreamEvent& stream_event : events) {
           handle_event(stream_event);
         }

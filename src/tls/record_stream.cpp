@@ -199,15 +199,21 @@ void RecordStreamExtractor::feed_tcp(util::SimTime timestamp,
       net::endpoint_pair_hash(source, destination, net::IpProtocol::kTcp);
   if (hash < 2) hash += 2;  // 0 and 1 are the index's empty/tombstone marks
 
+  const bool is_syn_only = (tcp_flags & 0x02) != 0 && (tcp_flags & 0x10) == 0;
   net::FlowDirection direction = net::FlowDirection::kClientToServer;
   FlowMap::iterator it = find_flow(hash, source, destination, direction);
+  if (it != flows_.end() && is_syn_only && closed_both_ways(it->second)) {
+    // A new connection on the 4-tuple of one that finished but never
+    // saw its final ACK: retire the old flow, open a fresh one.
+    complete_flow(it, out);
+    ++flows_closed_;
+    it = flows_.end();
+  }
   if (it == flows_.end()) {
     // New flow: decide orientation. The sender of a pure SYN is the
     // client; otherwise the well-known-port heuristic — a source port
     // below 1024 (and a peer's that is not) suggests the packet came
     // *from* the server.
-    const bool is_syn_only =
-        (tcp_flags & 0x02) != 0 && (tcp_flags & 0x10) == 0;
     net::FlowKey key{source, destination, net::IpProtocol::kTcp};
     if (!is_syn_only && source.port < 1024 && !(destination.port < 1024)) {
       key = net::FlowKey{destination, source, net::IpProtocol::kTcp};
@@ -286,11 +292,26 @@ void RecordStreamExtractor::feed_tcp_slow(
   process_items(it->first, state, items_scratch_, out);
   sync_tls_counters(state);
 
-  if (state.reassembler.reset()) {
-    // RST teardown: the connection is over in both directions. Retire
-    // the flow now instead of letting it linger until idle eviction.
-    complete_flow(it, out);
+  if (!state.first_fin && state.reassembler.stream(direction).finished()) {
+    state.first_fin = direction;
   }
+  // Teardown retires the flow now instead of letting it linger until
+  // idle eviction: an RST ends both directions at once; a FIN close
+  // ends with the active closer's pure ACK of the peer's FIN. (The
+  // passive closer may send a bare ACK after its own FIN, and the
+  // active closer's final ACK must not then open a new flow.)
+  const bool pure_ack = (tcp_flags & 0x07) == 0 && !has_payload &&
+                        truncated_bytes == 0;
+  if (state.reassembler.reset() ||
+      (pure_ack && state.first_fin == direction && closed_both_ways(state))) {
+    complete_flow(it, out);
+    ++flows_closed_;
+  }
+}
+
+bool RecordStreamExtractor::closed_both_ways(const PerFlow& state) {
+  return state.reassembler.client_stream().finished() &&
+         state.reassembler.server_stream().finished();
 }
 
 RecordStreamExtractor::FlowMap::iterator RecordStreamExtractor::find_flow(
@@ -362,6 +383,7 @@ RecordStreamExtractor::FlowMap::iterator RecordStreamExtractor::erase_flow(
     shell.tls_skipped_accounted = 0;
     shell.tls_resyncs_accounted = 0;
     shell.index_hash = 0;
+    shell.first_fin.reset();
     pool_.push_back(std::move(shell));
   }
   return flows_.erase(it);

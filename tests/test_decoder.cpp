@@ -243,7 +243,9 @@ TEST(ChoiceDecoder, OutOfOrderGapsStillAttributeTheOverride) {
 TEST(ChoiceDecoder, GapRingWrapDropsTheEarliestGap) {
   ChoiceDecoder decoder(2);
   (void)decoder.add_record(obs(0.0, 2212), RecordClass::kType1Json);
+  EXPECT_EQ(decoder.memory_bytes(), 0u);  // the ring waits for a gap
   decoder.add_gap(gap_at(1.0, 100));
+  EXPECT_EQ(decoder.memory_bytes(), 2 * sizeof(GapSpan));
   decoder.add_gap(gap_at(2.0, 100));
   decoder.add_gap(gap_at(3.0, 100));  // wraps: the 1.0s gap falls off
   EXPECT_EQ(decoder.memory_bytes(), 2 * sizeof(GapSpan));

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "chunked_replay.hpp"
+#include "teardown.hpp"
 #include "wm/core/engine/engine.hpp"
 #include "wm/core/engine/source.hpp"
 #include "wm/core/pipeline.hpp"
@@ -237,11 +238,15 @@ TEST(Engine, LongReplayEvictsIdleFlowsAndStaysBounded) {
 
   // Then a 10-lap replay (each lap a fresh viewer) with eviction set to
   // one session length: within-session idle gaps survive, finished
-  // sessions do not.
+  // sessions do not. The laps' FIN segments are stripped, so their
+  // flows never close and only idle eviction retires them.
   constexpr std::size_t kLaps = 10;
   test::ChunkedReplaySource::Config replay_config;
   replay_config.laps = kLaps;
-  test::ChunkedReplaySource replay(base.capture.packets, replay_config);
+  const std::vector<net::Packet> stripped =
+      test::strip_teardown(base.capture.packets);
+  ASSERT_LT(stripped.size(), base.capture.packets.size());
+  test::ChunkedReplaySource replay(stripped, replay_config);
 
   InferOptions options;
   options.shards = 2;
@@ -286,7 +291,15 @@ TEST(Engine, LongReplayEvictsIdleFlowsAndStaysBounded) {
   ASSERT_GT(flows_per_lap, 0u);
   EXPECT_GE(report.stats.flows_evicted, flows_per_lap * (kLaps - 4));
   EXPECT_LE(report.stats.peak_active_flows, flows_per_lap * 4);
-  EXPECT_EQ(report.stats.packets_in, base.capture.packets.size() * kLaps);
+  EXPECT_EQ(report.stats.packets_in, stripped.size() * kLaps);
+
+  // With the teardown left in, flows retire as their connections close:
+  // none is left for idle eviction.
+  test::ChunkedReplaySource closing(base.capture.packets, replay_config);
+  const InferReport closed = pipeline.infer(closing, options);
+  EXPECT_EQ(closed.stats.flows_opened, report.stats.flows_opened);
+  EXPECT_EQ(closed.stats.flows_evicted, 0u);
+  EXPECT_LE(closed.stats.peak_active_flows, flows_per_lap * 2);
 }
 
 TEST(Engine, ReplayWithoutRewriteKeepsOneViewer) {

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "teardown.hpp"
 #include "wm/core/pipeline.hpp"
 #include "wm/monitor/fleet.hpp"
 #include "wm/monitor/live_source.hpp"
@@ -249,6 +250,48 @@ TEST(Monitor, MemoryCeilingShedsOldestIdleViewer) {
   EXPECT_EQ(shed_events, stats.viewers_shed);
 }
 
+TEST(Monitor, FirstGapBringsTheGapRingIntoTheBudget) {
+  // One session whose next-to-last client upload is snaplen-truncated:
+  // the cut tail surfaces as a gap when the last upload arrives. The
+  // viewer's gap ring is allocated then, and the budget's accounting
+  // grows by it.
+  WorkloadConfig workload;
+  workload.sessions = 1;
+  workload.concurrency = 1;
+  core::IntervalClassifier classifier;
+  classifier.fit(workload_calibration(workload));
+  SyntheticFleetSource source(workload);
+  std::vector<net::Packet> packets;
+  while (auto packet = source.next()) packets.push_back(std::move(*packet));
+  std::vector<std::size_t> uploads;
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    const auto decoded = net::decode_packet(packets[i]);
+    if (decoded && decoded->has_tcp() && decoded->tcp().destination_port == 443 &&
+        !decoded->transport_payload.empty()) {
+      uploads.push_back(i);
+    }
+  }
+  ASSERT_GE(uploads.size(), 2u);
+  net::Packet& cut = packets[uploads[uploads.size() - 2]];
+  cut.data.resize(cut.data.size() - 40);
+
+  const MonitorConfig config = test_config();
+  ContinuousMonitor monitor(classifier, config);
+  std::size_t ring_grew = 0;
+  for (const net::Packet& packet : packets) {
+    const std::size_t before = monitor.memory_bytes();
+    const std::uint64_t gaps_before = monitor.stats().gaps_observed;
+    monitor.feed(packet);
+    if (monitor.stats().gaps_observed != gaps_before) {
+      EXPECT_EQ(monitor.memory_bytes() - before,
+                config.max_viewer_gaps * sizeof(core::GapSpan));
+      ++ring_grew;
+    }
+  }
+  EXPECT_EQ(ring_grew, 1u);
+  EXPECT_EQ(monitor.finish().gaps_observed, 1u);
+}
+
 /// Every callback as one line, in delivery order, with exact values
 /// (confidence by its bit pattern): two runs agree iff their event
 /// streams are identical.
@@ -312,6 +355,7 @@ void expect_chunking_invariant(const std::vector<net::Packet>& packets,
   ASSERT_GT(single_stats.choices_inferred, 0u);
   ASSERT_GT(single_stats.viewers_evicted_idle, 0u);
   ASSERT_GT(single_stats.flows_swept, 0u);
+  ASSERT_GT(single_stats.flows_closed, 0u);
   if (impaired) {
     ASSERT_GT(single_stats.gaps_observed, 0u);
   }
@@ -348,6 +392,9 @@ TEST(Monitor, FeedBatchChunkingMatchesPerPacketFeed) {
   SyntheticFleetSource source(workload);
   std::vector<net::Packet> packets;
   while (auto packet = source.next()) packets.push_back(std::move(*packet));
+  // Half the flows lose their FIN segments, so the flow sweep has work
+  // beside the flows that retire at close.
+  packets = test::strip_teardown(packets, 2);
 
   expect_chunking_invariant(packets, classifier, 4401, /*impaired=*/false);
 

@@ -5,6 +5,7 @@
 #include <map>
 #include <vector>
 
+#include "teardown.hpp"
 #include "wm/core/engine/source.hpp"
 #include "wm/monitor/workload.hpp"
 #include "wm/net/packet_builder.hpp"
@@ -303,11 +304,12 @@ TEST(RecordStreamExtractor, FlowInsertedAtIndexGrowthIsIndexedOnce) {
 }
 
 TEST(RecordStreamExtractor, LiveFlowStateStaysSmallAndEventsUnchanged) {
-  // 1,000 synthetic sessions, each closed with FIN, so every flow stays
-  // live (no idle timeout here). Each server handshake flight spans
-  // several segments and goes through the parser's buffer; once
-  // drained, that buffer must be freed rather than kept for the flow's
-  // whole life. Online configuration: events are not retained.
+  // 1,000 synthetic sessions with their FIN segments stripped, so every
+  // flow stays live (no idle timeout here). Each server handshake
+  // flight spans several segments and goes through the parser's
+  // buffer; once drained, that buffer must be freed rather than kept
+  // for the flow's whole life. Online configuration: events are not
+  // retained.
   monitor::WorkloadConfig workload;
   workload.sessions = 1000;
   workload.concurrency = 64;
@@ -317,7 +319,8 @@ TEST(RecordStreamExtractor, LiveFlowStateStaysSmallAndEventsUnchanged) {
 
   RecordStreamExtractor reference(config);
   std::vector<StreamEvent> expected;
-  const std::vector<net::Packet>& session = fleet.session_template();
+  const std::vector<net::Packet> session =
+      test::strip_teardown(fleet.session_template());
   reference.feed_batch(session.data(), session.size(), expected);
   ASSERT_EQ(reference.active_flows(), 1u);
   const std::optional<std::string> sni = reference.sni_of(expected.front().flow);
@@ -327,7 +330,11 @@ TEST(RecordStreamExtractor, LiveFlowStateStaysSmallAndEventsUnchanged) {
   std::vector<StreamEvent> events;
   engine::PacketBatch batch;
   while (fleet.read_batch(batch, 256) != 0) {
-    extractor.feed_batch(batch.begin(), batch.size(), events);
+    for (const net::Packet& packet : batch) {
+      if (!test::is_stripped_fin(packet, 1)) {
+        extractor.feed_batch(&packet, 1, events);
+      }
+    }
   }
   ASSERT_EQ(extractor.active_flows(), workload.sessions);
   EXPECT_LE(extractor.memory_bytes() / extractor.active_flows(), 1536u);
@@ -356,6 +363,79 @@ TEST(RecordStreamExtractor, LiveFlowStateStaysSmallAndEventsUnchanged) {
   }
   EXPECT_TRUE(extractor.flush().empty());
   EXPECT_TRUE(reference.flush().empty());
+}
+
+TEST(RecordStreamExtractor, ClosedFlowsRetireAtTeardown) {
+  // The same fleet with its teardown intact: each flow retires on the
+  // client's final ACK, so nothing is live at the end and no idle
+  // timeout is needed. Retirement only moves the flow out; its events
+  // are the stripped session's.
+  monitor::WorkloadConfig workload;
+  workload.sessions = 1000;
+  workload.concurrency = 64;
+  monitor::SyntheticFleetSource fleet(workload);
+  RecordStreamExtractor::Config config;
+  config.retain_events = false;
+
+  RecordStreamExtractor extractor(config);
+  std::vector<StreamEvent> events;
+  engine::PacketBatch batch;
+  while (fleet.read_batch(batch, 256) != 0) {
+    extractor.feed_batch(batch.begin(), batch.size(), events);
+  }
+  EXPECT_EQ(extractor.active_flows(), 0u);
+  EXPECT_EQ(extractor.flows_opened(), workload.sessions);
+  EXPECT_EQ(extractor.flows_closed(), workload.sessions);
+  EXPECT_EQ(extractor.flows_completed(), workload.sessions);
+  EXPECT_LE(extractor.peak_active_flows(), 2 * workload.concurrency);
+
+  RecordStreamExtractor stripped(config);
+  std::vector<StreamEvent> stripped_events;
+  const std::vector<net::Packet> session =
+      test::strip_teardown(fleet.session_template());
+  stripped.feed_batch(session.data(), session.size(), stripped_events);
+  EXPECT_EQ(stripped.flows_closed(), 0u);
+  EXPECT_EQ(events.size(), workload.sessions * stripped_events.size());
+  EXPECT_TRUE(extractor.flush().empty());
+}
+
+TEST_F(RecordStreamTest, ReusedFourTupleAfterLostFinalAckOpensANewFlow) {
+  // Two connections on one 4-tuple, 5 s apart. The first one's final
+  // ACK is lost, so it is still held (both directions finished) when
+  // the second one's SYN arrives: that SYN retires it and opens a new
+  // flow, whose handshake then yields its own SNI.
+  std::vector<net::Packet> first = build_connection({400}, {900});
+  ASSERT_EQ(net::decode_packet(first.back())->tcp().flags_string(), "ACK");
+  first.pop_back();  // the lost final ACK
+  std::vector<net::Packet> second = build_connection({400}, {900});
+  for (net::Packet& packet : second) packet.timestamp += Duration::seconds(5);
+
+  RecordStreamExtractor extractor;
+  std::vector<StreamEvent> out;
+  extractor.feed_batch(first.data(), first.size(), out);
+  EXPECT_EQ(extractor.active_flows(), 1u);
+  EXPECT_EQ(extractor.flows_closed(), 0u);
+  extractor.feed_batch(second.data(), 1, out);  // the new SYN
+  EXPECT_EQ(extractor.flows_opened(), 2u);
+  EXPECT_EQ(extractor.flows_closed(), 1u);
+  EXPECT_EQ(extractor.active_flows(), 1u);
+  extractor.feed_batch(second.data() + 1, second.size() - 1, out);
+  EXPECT_EQ(extractor.flows_opened(), 2u);
+  EXPECT_EQ(extractor.flows_closed(), 2u);  // the second closes with its ACK
+  EXPECT_EQ(extractor.active_flows(), 0u);
+
+  const std::vector<FlowRecordStream> streams = extractor.finish();
+  EXPECT_EQ(extractor.flows_completed(), 2u);
+  ASSERT_EQ(streams.size(), 2u);
+  for (const FlowRecordStream& stream : streams) {
+    EXPECT_EQ(stream.sni, firefox_config().sni);
+    EXPECT_EQ(stream.count(FlowDirection::kClientToServer,
+                           ContentType::kApplicationData),
+              1u);
+  }
+  EXPECT_EQ(streams[1].events.front().timestamp -
+                streams[0].events.front().timestamp,
+            Duration::seconds(5));
 }
 
 }  // namespace
