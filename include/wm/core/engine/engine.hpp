@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -127,6 +128,11 @@ class ShardedFlowEngine {
   /// Packets offered so far (safe to read concurrently with consume()).
   [[nodiscard]] std::uint64_t packets_in() const;
 
+  /// Per-flow entries (collector key, cached SNI) the shards keep beside
+  /// their extractors: one per flow the extractors still hold. Read it
+  /// only while no worker runs (an inline engine, or after finish()).
+  [[nodiscard]] std::size_t flow_entries() const;
+
  private:
   struct Shard;
   class Collector;
@@ -165,9 +171,16 @@ class ShardedFlowEngine {
   /// views) differs from what the caller is about to append — a batch
   /// never mixes modes, so neither payload can silently drop the other.
   PacketBatch& pending_for(std::size_t shard_index, bool views);
-  /// Route one extractor delivery: records feed the collector's
-  /// observation log, client-side gaps feed its gap timeline.
-  void handle_event(Shard& shard, const tls::StreamEvent& stream_event);
+  /// Route one extractor call's deliveries in order: records feed the
+  /// collector's observation log, client-side gaps feed its gap
+  /// timeline, and a flow the extractor retired drops its entry in
+  /// Shard::clients at the point of its retirement.
+  void handle_events(Shard& shard, const std::vector<tls::StreamEvent>& events);
+  /// One delivery; `retired` holds the call's retirements not applied
+  /// yet, the first of this flow's among them being its own connection's.
+  void handle_event(
+      Shard& shard, const tls::StreamEvent& stream_event,
+      std::span<const tls::RecordStreamExtractor::RetiredFlow> retired);
   void dispatch(std::size_t shard_index);
   void flush_pending();
   void shutdown_workers();

@@ -21,11 +21,16 @@
 // rings, so a tapped packet crosses one thread hop.
 // Each shard worker owns a full private ContinuousMonitor (its own
 // TimerWheel, flow/viewer state, LRU arena): no locks on the inference
-// path, no shared state between shards. Workers feed each drained run through
-// ContinuousMonitor::feed_batch and send the packets' buffers back to
-// their pump over a twin return ring, so once warm a pump allocates
-// nothing per packet (FleetStats::buffers_allocated); a bound tap's
-// producer hands its own buffers over.
+// path, no shared state between shards. A worker owns each drained
+// run until it sends the packets' buffers back to their pump over a
+// twin return ring, so once warm a pump allocates nothing per packet
+// (FleetStats::buffers_allocated); a bound tap's producer hands its own
+// buffers over. Owning the run, the worker feeds it through
+// ContinuousMonitor::feed_batch_lend: a TCP segment that has to wait
+// behind a reordering hole keeps its frame's buffer instead of a copy,
+// and the packet goes home with a spare of at least the frame's size
+// from the shard's extractor (MonitorStats::holds_lent), so neither
+// the worker nor the pump allocates or copies for it.
 //
 // ORDERING. A shard's wheel is shared by its viewers, so the worker
 // must feed it in (approximately) capture-time order even when packets

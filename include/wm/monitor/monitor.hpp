@@ -117,6 +117,10 @@ struct MonitorStats {
   std::uint64_t gaps_observed = 0;
   std::uint64_t flows_swept = 0;       // wheel-driven extractor sweeps
   std::uint64_t flows_closed = 0;      // retired at TCP teardown (FIN/RST)
+  /// Out-of-order TCP holds whose buffer was a lent frame (only via
+  /// feed_batch_lend) / a copy into a spare buffer.
+  std::uint64_t holds_lent = 0;
+  std::uint64_t holds_copied = 0;
   std::uint64_t timer_fires = 0;
   /// Times the global byte budget was found exceeded before shedding
   /// brought it back under. Zero across a soak = bounded memory proven.
@@ -156,6 +160,15 @@ class ContinuousMonitor {
   /// events with the same `at`, and no answer waits for the rest of its
   /// batch. The packets need only live through the call.
   void feed_batch(const net::Packet* packets, std::size_t count);
+
+  /// feed_batch() for a caller that owns the packets and lends their
+  /// frame buffers: a TCP segment that has to wait for a hole to fill
+  /// keeps its frame's buffer instead of a copy of its payload, and the
+  /// packet gets in exchange an empty buffer with at least the frame's
+  /// capacity. After the call every packet's `data` is unspecified
+  /// (timestamps are untouched); the events are feed_batch()'s. A
+  /// separate name, not an overload, so no caller lends by accident.
+  void feed_batch_lend(net::Packet* packets, std::size_t count);
 
   /// Pull `source` to exhaustion via read_batch(), feeding each batch
   /// through feed_batch(). Returns packets fed.

@@ -34,26 +34,85 @@ namespace wm::net {
 /// time of the segment that first carried these bytes — buffering
 /// behind a reordered segment does not shift it.
 ///
-/// Payload storage has two modes. Owned mode (`data` non-empty) is the
-/// default: the chunk carries its own copy. Borrowed mode (`data`
-/// empty, `borrowed` set) is produced only when the caller promised
-/// stable input spans (see on_segment's `stable_payload`): the bytes
-/// live in the producer's backing store (an mmap'd capture) and the
-/// chunk is valid only as long as that store. Consumers that work for
-/// both modes read through bytes().
+/// `view` spans the chunk's bytes; bytes() returns it. Where they live
+/// has two modes. Owned mode (`owner` non-empty): `owner` is the buffer
+/// the bytes sit in, either a copy of the piece or the whole frame a
+/// caller lent (see HoldBuffers), so `view` may span only part of it.
+/// Borrowed mode (`owner` empty) is produced only when the caller
+/// promised stable input spans (see on_segment's PayloadHold): the
+/// bytes live in the producer's backing store (an mmap'd capture) and
+/// the chunk is valid only as long as that store. Moving a chunk keeps
+/// `view` valid (a vector's heap buffer does not relocate on move); a
+/// copy rebases it into the copied owner.
 struct StreamChunk {
   util::SimTime timestamp;
   std::uint64_t stream_offset = 0;  // bytes since ISN+1
-  util::Bytes data;
-  // wm-lint: allow(borrow): set only under the stable_payload contract —
-  // the producer's backing store outlives every chunk it yields.
-  util::BytesView borrowed;
+  util::Bytes owner;
+  // wm-lint: allow(borrow): points into `owner`, or under the
+  // stable-payload contract into the producer's backing store, which
+  // outlives every chunk it yields.
+  util::BytesView view;
 
-  /// The chunk's payload, regardless of storage mode. Chunks are never
-  /// empty, so an empty `data` means borrowed mode.
-  [[nodiscard]] util::BytesView bytes() const {
-    return data.empty() ? borrowed : util::BytesView(data);
-  }
+  StreamChunk() = default;
+  StreamChunk(const StreamChunk& other);
+  StreamChunk& operator=(const StreamChunk& other);
+  StreamChunk(StreamChunk&&) noexcept = default;
+  StreamChunk& operator=(StreamChunk&&) noexcept = default;
+
+  /// The chunk's payload, in either mode. Never empty.
+  [[nodiscard]] util::BytesView bytes() const { return view; }
+};
+
+/// Buffers for owned holds: the pieces on_segment must keep past the
+/// call when the payload is not stable. A caller keeps one across
+/// segments and gives delivered chunks' owners back through recycle(),
+/// so once warm a hold allocates nothing. A hold's buffer is either
+///   * lent: the frame the payload arrived in, taken whole when the
+///     caller offers it (PayloadHold::frame) and a spare at least the
+///     frame's size is there to leave in its place — so a caller that
+///     recycles its frame buffers never has to grow one; or
+///   * copied: a spare the piece is copied into, sized for the largest
+///     frame offered so far, so it can stand in for a frame later.
+/// At most `cap` spares are kept; recycle() frees the rest.
+class HoldBuffers {
+ public:
+  explicit HoldBuffers(std::size_t cap) : cap_(cap) {}
+
+  /// Hold `piece` in `chunk` (its owner and view). `frame`, when not
+  /// null, is the caller's buffer around `piece` and may be lent; it is
+  /// set to null once lent, so a segment lends at most once.
+  void hold(util::BytesView piece, util::Bytes*& frame, StreamChunk& chunk);
+  /// Keep a delivered chunk's owner as a spare (emptied, capacity kept),
+  /// or free it when `cap` spares are already kept.
+  void recycle(util::Bytes buffer);
+
+  /// Holds that took a lent frame / copied their piece into a spare.
+  [[nodiscard]] std::uint64_t lent() const { return lent_; }
+  [[nodiscard]] std::uint64_t copied() const { return copied_; }
+  /// Heap bytes of the kept spares and their list.
+  [[nodiscard]] std::size_t memory_bytes() const;
+
+ private:
+  std::vector<util::Bytes> spares_;
+  std::size_t cap_;
+  std::size_t frame_bytes_ = 0;  // largest frame offered for lending
+  std::uint64_t lent_ = 0;
+  std::uint64_t copied_ = 0;
+};
+
+/// What on_segment may do with a payload it has to hold past the call.
+struct PayloadHold {
+  /// The zero-copy contract: the caller promises the payload stays
+  /// valid and unchanged for the reassembler's whole lifetime (mmap'd
+  /// captures, in-memory traces), so held pieces borrow it instead of
+  /// owning a buffer, and so do the chunks they become.
+  bool stable = false;
+  /// Where owned holds get their buffers. Null: each copies into a
+  /// fresh allocation.
+  HoldBuffers* buffers = nullptr;
+  /// The caller's frame buffer the payload lies in, offered for lending
+  /// (see HoldBuffers). After the call its contents are unspecified.
+  util::Bytes* frame = nullptr;
 };
 
 /// A run of stream bytes that will never be delivered. Emitted in
@@ -128,18 +187,16 @@ class TcpStreamReassembler {
   /// Chunks and gaps that became deliverable are appended to `out` in
   /// stream order.
   ///
-  /// `stable_payload` is the zero-copy contract: when true, the caller
-  /// promises `payload` stays valid and unchanged for the reassembler's
-  /// whole lifetime (mmap'd captures, in-memory traces), so buffered
-  /// out-of-order pieces hold views instead of copies and delivered
-  /// chunks borrow (StreamChunk::borrowed). The delivered byte
-  /// sequence, offsets, timestamps and gap events are identical either
-  /// way — only payload storage differs.
+  /// Out-of-order pieces are held until the hole before them fills.
+  /// `hold` says how: borrowed views under the stable contract, else
+  /// owned buffers, lent or copied (see PayloadHold, HoldBuffers). The
+  /// delivered byte sequence, offsets, timestamps and gap events are
+  /// identical every way — only payload storage differs.
   void on_segment(util::SimTime timestamp, std::uint32_t sequence, bool syn,
                   bool fin, util::BytesView payload, std::size_t truncated_bytes,
-                  bool stable_payload, std::vector<StreamItem>& out);
+                  PayloadHold hold, std::vector<StreamItem>& out);
 
-  /// Convenience wrapper: owned-copy mode, freshly returned vector.
+  /// Convenience wrapper: owned copies, freshly returned vector.
   std::vector<StreamItem> on_segment(util::SimTime timestamp, std::uint32_t sequence,
                                      bool syn, bool fin, util::BytesView payload,
                                      std::size_t truncated_bytes = 0);
@@ -182,28 +239,22 @@ class TcpStreamReassembler {
   /// Number of out-of-order segments currently held.
   [[nodiscard]] std::size_t pending_segments() const { return pending_.size(); }
   /// Heap bytes the reassembler holds: out-of-order hold capacity, the
-  /// payloads it owns and dead-range nodes.
+  /// buffers its holds own (a lent frame counts whole) and dead-range
+  /// nodes.
   [[nodiscard]] std::size_t memory_bytes() const;
   /// True if a FIN has been delivered in-order, or the stream was
   /// flushed/reset.
   [[nodiscard]] bool finished() const { return finished_; }
 
  private:
-  /// One buffered out-of-order piece: payload plus its first-arrival
-  /// capture time, which the eventual StreamChunk is stamped with.
-  /// `view` always spans the piece's bytes: into `data` in owned mode
-  /// (stable under Pending moves — util::Bytes's heap buffer does not
-  /// relocate on move), or into the caller's stable backing store in
-  /// borrowed mode (`data` empty, stable_payload contract).
+  /// One buffered out-of-order piece: the chunk it will be delivered
+  /// as (owner, view, first-arrival time; the stream offset is set on
+  /// delivery), keyed by the absolute sequence of its first byte.
   struct Pending {
-    std::uint64_t start = 0;  // absolute sequence of the first byte
-    util::Bytes data;
-    // wm-lint: allow(borrow): see above — points into `data` or into
-    // the producer's stable backing store.
-    util::BytesView view;
-    util::SimTime arrived;
+    std::uint64_t start = 0;
+    StreamChunk chunk;
 
-    [[nodiscard]] std::uint64_t end() const { return start + view.size(); }
+    [[nodiscard]] std::uint64_t end() const { return start + chunk.view.size(); }
   };
   /// A half-open byte range [begin at map key, `end`) known to be
   /// unrecoverable. Surfaces as a StreamGap when delivery reaches it;
@@ -231,8 +282,9 @@ class TcpStreamReassembler {
                       StreamGap::Cause cause);
   /// Remove [start, end) from the dead set: real bytes arrived.
   void resurrect(std::uint64_t start, std::uint64_t end);
-  /// True when buffered data pressure says the head hole will not fill.
-  [[nodiscard]] bool over_reorder_window() const;
+  /// True when buffered data pressure (`segments` still held) says the
+  /// head hole will not fill.
+  [[nodiscard]] bool over_reorder_window(std::size_t segments) const;
 
   Config config_;
   bool synchronized_ = false;
@@ -276,13 +328,13 @@ class TcpConnectionReassembler {
 
   /// Same semantics as on_packet, but taking the TCP fields directly
   /// (no DecodedPacket materialization) and appending into a caller-
-  /// owned scratch vector — the slab decode path's entry point.
-  /// `stable_payload` forwards the zero-copy contract to the stream
-  /// reassembler (see TcpStreamReassembler::on_segment).
+  /// owned scratch vector — the slab decode path's entry point. `hold`
+  /// goes to the stream reassembler (see TcpStreamReassembler::
+  /// on_segment).
   void on_segment(FlowDirection direction, util::SimTime timestamp,
                   std::uint32_t sequence, bool syn, bool fin, bool rst,
                   util::BytesView payload, std::size_t truncated_bytes,
-                  std::vector<DirectedItem>& out, bool stable_payload = false);
+                  std::vector<DirectedItem>& out, PayloadHold hold = {});
 
   /// Mutable access to one direction's stream, for the in-order fast
   /// path (TcpStreamReassembler::accept_in_order). Callers must check

@@ -118,6 +118,22 @@ class RecordStreamExtractor {
     /// Per-direction reassembly tuning (reorder window, buffer budget)
     /// applied to every flow's TcpConnectionReassembler.
     net::TcpStreamReassembler::Config reassembly;
+    /// Record every flow retirement in retired(), for a consumer that
+    /// keeps per-flow state of its own and must drop it with the flow.
+    /// Off = nothing recorded.
+    bool report_retired = false;
+  };
+
+  /// A flow whose state the extractor retired: at TCP teardown, in
+  /// flush(), or by idle eviction.
+  struct RetiredFlow {
+    net::FlowKey flow;
+    /// The retired connection's SNI, if its ClientHello was parsed.
+    std::optional<std::string> sni;
+    /// Size of the call's `out` when the flow retired. The flow's events
+    /// below this index came from the retired connection; any at or
+    /// above it belong to a new connection on the same 4-tuple.
+    std::size_t events_before = 0;
   };
 
   RecordStreamExtractor() : RecordStreamExtractor(Config{}) {}
@@ -150,8 +166,9 @@ class RecordStreamExtractor {
   /// mmap'd capture, an in-memory trace) outlives this extractor, so
   /// out-of-order reassembly buffers views instead of copying segment
   /// payloads. With false the frames only need to live through this
-  /// call. Event output is byte-identical to the owned overload on the
-  /// same frames either way.
+  /// call: held segments are copied into the extractor's spare hold
+  /// buffers. Event output is byte-identical to the owned overload on
+  /// the same frames either way.
   void feed_batch(const net::PacketView* packets, std::size_t count,
                   std::vector<StreamEvent>& out, bool stable_payload);
 
@@ -164,6 +181,16 @@ class RecordStreamExtractor {
   void feed_lens(util::SimTime timestamp, util::BytesView frame,
                  const net::PacketLens& lens, bool stable_payload,
                  std::vector<StreamEvent>& out);
+
+  /// feed_lens() for a caller that owns `frame` and lends it: when the
+  /// segment has to wait for a hole to fill, its hold may take the
+  /// frame's buffer whole instead of copying the payload, leaving in
+  /// its place an empty spare with at least the frame's capacity (see
+  /// net::HoldBuffers). After the call `frame`'s contents are
+  /// unspecified. Events are identical to feed_lens()'s.
+  void feed_lens_lend(util::SimTime timestamp, util::Bytes& frame,
+                      const net::PacketLens& lens,
+                      std::vector<StreamEvent>& out);
 
   /// End-of-capture: flush every live flow — outstanding reassembly
   /// holes become gaps, the TLS parsers re-lock with relaxed validation
@@ -202,12 +229,22 @@ class RecordStreamExtractor {
   [[nodiscard]] std::uint64_t gap_bytes() const { return gap_bytes_total_; }
   [[nodiscard]] std::uint64_t tls_bytes_skipped() const { return tls_skipped_total_; }
   [[nodiscard]] std::uint64_t tls_resyncs() const { return tls_resyncs_total_; }
+  /// Out-of-order holds whose buffer was a lent frame / a copy (the
+  /// borrowed holds of stable payloads count in neither).
+  [[nodiscard]] std::uint64_t holds_lent() const { return holds_.lent(); }
+  [[nodiscard]] std::uint64_t holds_copied() const { return holds_.copied(); }
+  /// Flows retired since the last clear_retired(), in retirement order.
+  /// Always empty unless Config::report_retired.
+  [[nodiscard]] const std::vector<RetiredFlow>& retired() const {
+    return retired_;
+  }
+  void clear_retired() { retired_.clear(); }
   /// Sum of live out-of-order reassembly buffers across active flows.
   [[nodiscard]] std::size_t buffered_reassembly_bytes() const;
   /// Heap bytes of flow state: map nodes (the arena's live bytes), the
-  /// flow index, parser and reassembly capacities, retained events and
-  /// pooled shells. Walks every flow, so it is for tests and
-  /// diagnostics, not for the per-packet path.
+  /// flow index, parser and reassembly capacities, retained events,
+  /// pooled shells and spare hold buffers. Walks every flow, so it is
+  /// for tests and diagnostics, not for the per-packet path.
   [[nodiscard]] std::size_t memory_bytes() const;
   /// The SNI observed on a flow, if its ClientHello has been parsed.
   [[nodiscard]] std::optional<std::string> sni_of(const net::FlowKey& flow) const;
@@ -258,13 +295,18 @@ class RecordStreamExtractor {
     FlowMap::iterator it{};
   };
 
-  /// Shared per-packet TCP processing behind both decode paths.
-  /// `stable_payload` forwards the zero-copy lifetime contract down to
-  /// the reassembler (see feed_batch's PacketView overload).
+  /// The per-packet step behind feed_lens() and feed_lens_lend():
+  /// `lendable`, when not null, is the buffer `frame` views.
+  void feed_frame(util::SimTime timestamp, util::BytesView frame,
+                  const net::PacketLens& lens, bool stable_payload,
+                  util::Bytes* lendable, std::vector<StreamEvent>& out);
+  /// Shared per-packet TCP processing behind both decode paths. `hold`
+  /// says how the reassembler may keep a payload it must hold (see
+  /// net::PayloadHold); its buffers are the extractor's spares.
   void feed_tcp(util::SimTime timestamp, const net::Endpoint& source,
                 const net::Endpoint& destination, std::uint8_t tcp_flags,
                 std::uint32_t sequence, util::BytesView payload,
-                std::size_t truncated_bytes, bool stable_payload,
+                std::size_t truncated_bytes, net::PayloadHold hold,
                 std::vector<StreamEvent>& out);
   /// Buffer-everything fallback of feed_tcp for segments the in-order
   /// fast path rejects (SYN/FIN/RST, truncation, reorder, retransmit).
@@ -272,7 +314,7 @@ class RecordStreamExtractor {
                      util::SimTime timestamp, std::uint32_t sequence,
                      std::uint8_t tcp_flags, util::BytesView payload,
                      std::size_t truncated_bytes, bool has_payload,
-                     bool stable_payload, std::vector<StreamEvent>& out);
+                     net::PayloadHold hold, std::vector<StreamEvent>& out);
 
   /// Probe the index for either orientation of (source, destination).
   /// On a hit, `direction` is set to the matching orientation.
@@ -281,15 +323,19 @@ class RecordStreamExtractor {
                               net::FlowDirection& direction);
   FlowMap::iterator insert_flow(std::uint64_t hash, const net::FlowKey& key);
   /// Tombstone the index slot, recycle the PerFlow into the pool, and
-  /// erase the map node. Returns the iterator past the erased entry.
-  FlowMap::iterator erase_flow(FlowMap::iterator it);
+  /// erase the map node; with Config::report_retired, record it in
+  /// retired_ at `events_before`. Returns the iterator past the erased
+  /// entry.
+  FlowMap::iterator erase_flow(FlowMap::iterator it, std::size_t events_before);
   void index_insert(std::uint64_t hash, FlowMap::iterator it);
   void index_grow();
 
-  void evict_idle(util::SimTime now);
+  /// `events_before`: the size of the calling feed's `out`.
+  void evict_idle(util::SimTime now, std::size_t events_before);
   FlowRecordStream snapshot(const net::FlowKey& key, const PerFlow& state) const;
   /// Route reassembler output (chunks and gaps) through the right TLS
-  /// parser and append the resulting StreamEvents to `out`.
+  /// parser and append the resulting StreamEvents to `out`. Owned chunk
+  /// buffers go back to the spares once parsed.
   void process_items(const net::FlowKey& key, PerFlow& state,
                      std::vector<net::TcpConnectionReassembler::DirectedItem>& items,
                      std::vector<StreamEvent>& out);
@@ -345,6 +391,11 @@ class RecordStreamExtractor {
   /// with its capacity retained) awaiting reuse, so steady-state flow
   /// churn stops paying for fresh flow state.
   std::vector<PerFlow> pool_;
+  /// Spare buffers for the reassemblers' owned holds, shared by every
+  /// flow, refilled from delivered chunks, at most kSpareHolds
+  /// (record_stream.cpp) of them.
+  net::HoldBuffers holds_;
+  std::vector<RetiredFlow> retired_;
   /// Scratch reused across packets by the slow reassembly path.
   std::vector<net::TcpConnectionReassembler::DirectedItem> items_scratch_;
   /// Scratch for parser output (ParsedRecord views), reused per chunk.

@@ -206,9 +206,9 @@ struct ShardedFlowEngine::Shard {
   // in inline mode, or the joiner after shutdown) — never shared, so
   // the per-packet path is lock-free.
   tls::RecordStreamExtractor extractor;
-  /// Cached per-flow collector key and SNI. The SNI is cached the first
-  /// time the extractor resolves it so records flushed after the flow's
-  /// state is retired (TCP teardown, end-of-capture flush) keep it.
+  /// Cached per-flow collector key and SNI, one entry per flow the
+  /// extractor holds: an entry leaves when its flow retires, so a new
+  /// connection on the same 4-tuple starts afresh.
   struct ClientInfo {
     std::string key;
     std::optional<std::string> sni;
@@ -232,6 +232,7 @@ ShardedFlowEngine::ShardedFlowEngine(const core::RecordClassifier& classifier,
       collector_(std::make_unique<Collector>(classifier, config.metrics)) {
   tls::RecordStreamExtractor::Config extractor_config;
   extractor_config.retain_events = false;  // the collector is the memory
+  extractor_config.report_retired = true;  // Shard::clients follows it
   extractor_config.idle_timeout = config_.flow_idle_timeout;
   extractor_config.reassembly = config_.reassembly;
 
@@ -312,9 +313,7 @@ void ShardedFlowEngine::shutdown_workers() {
 }
 
 void ShardedFlowEngine::process(Shard& shard, const net::Packet& packet) {
-  for (const tls::StreamEvent& stream_event : shard.extractor.feed(packet)) {
-    handle_event(shard, stream_event);
-  }
+  handle_events(shard, shard.extractor.feed(packet));
 }
 
 void ShardedFlowEngine::process_batch(Shard& shard, const net::Packet* packets,
@@ -325,9 +324,7 @@ void ShardedFlowEngine::process_batch(Shard& shard, const net::Packet* packets,
   }
   shard.events.clear();
   shard.extractor.feed_batch(packets, count, shard.events);
-  for (const tls::StreamEvent& stream_event : shard.events) {
-    handle_event(shard, stream_event);
-  }
+  handle_events(shard, shard.events);
 }
 
 void ShardedFlowEngine::process_batch(Shard& shard,
@@ -350,9 +347,7 @@ void ShardedFlowEngine::process_batch(Shard& shard,
   // copying out-of-order segments.
   shard.extractor.feed_batch(views, count, shard.events,
                              /*stable_payload=*/true);
-  for (const tls::StreamEvent& stream_event : shard.events) {
-    handle_event(shard, stream_event);
-  }
+  handle_events(shard, shard.events);
 }
 
 void ShardedFlowEngine::process_batch(Shard& shard, const PacketBatch& batch) {
@@ -363,8 +358,28 @@ void ShardedFlowEngine::process_batch(Shard& shard, const PacketBatch& batch) {
   }
 }
 
-void ShardedFlowEngine::handle_event(Shard& shard,
-                                     const tls::StreamEvent& stream_event) {
+void ShardedFlowEngine::handle_events(
+    Shard& shard, const std::vector<tls::StreamEvent>& events) {
+  const std::span<const tls::RecordStreamExtractor::RetiredFlow> retired =
+      shard.extractor.retired();
+  std::size_t applied = 0;
+  const auto retire_before = [&](std::size_t index) {
+    for (; applied < retired.size() && retired[applied].events_before <= index;
+         ++applied) {
+      shard.clients.erase(retired[applied].flow);
+    }
+  };
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    retire_before(i);
+    handle_event(shard, events[i], retired.subspan(applied));
+  }
+  retire_before(events.size());
+  shard.extractor.clear_retired();
+}
+
+void ShardedFlowEngine::handle_event(
+    Shard& shard, const tls::StreamEvent& stream_event,
+    std::span<const tls::RecordStreamExtractor::RetiredFlow> retired) {
   auto [it, inserted] =
       shard.clients.try_emplace(stream_event.flow, Shard::ClientInfo{});
   if (inserted) it->second.key = client_key(stream_event.flow);
@@ -383,7 +398,16 @@ void ShardedFlowEngine::handle_event(Shard& shard,
   const tls::RecordEvent& event = stream_event.event;
   if (!event.is_client_application_data()) return;
 
-  if (!info.sni) info.sni = shard.extractor.sni_of(stream_event.flow);
+  if (!info.sni) {
+    // A flow that retired later in this call had its state recycled,
+    // and a new connection may hold its 4-tuple now: its retirement
+    // carries the SNI this event's connection had.
+    const auto own = std::find_if(
+        retired.begin(), retired.end(),
+        [&](const auto& flow) { return flow.flow == stream_event.flow; });
+    info.sni = own != retired.end() ? own->sni
+                                    : shard.extractor.sni_of(stream_event.flow);
+  }
 
   core::ClientRecordObservation observation;
   observation.timestamp = event.timestamp;
@@ -559,11 +583,7 @@ EngineResult ShardedFlowEngine::finish() {
   // collector. Workers are joined (or never existed), so the feeding
   // thread owns every shard's analysis state here.
   if (first_finish) {
-    for (auto& shard : shards_) {
-      for (const tls::StreamEvent& stream_event : shard->extractor.flush()) {
-        handle_event(*shard, stream_event);
-      }
-    }
+    for (auto& shard : shards_) handle_events(*shard, shard->extractor.flush());
   }
 
   EngineResult result;
@@ -590,6 +610,12 @@ EngineResult ShardedFlowEngine::finish() {
 
 std::uint64_t ShardedFlowEngine::packets_in() const {
   return packets_in_.load(std::memory_order_relaxed);
+}
+
+std::size_t ShardedFlowEngine::flow_entries() const {
+  std::size_t total = 0;
+  for (const auto& shard : shards_) total += shard->clients.size();
+  return total;
 }
 
 EngineResult analyze(const core::RecordClassifier& classifier,

@@ -350,8 +350,10 @@ struct MonitorFleet::Impl {
     publish_gauges(shard);
   }
 
-  static void feed_run(Shard& state, const net::Packet* run, std::size_t count) {
-    state.monitor->feed_batch(run, count);
+  /// The worker owns staged packets until give_back(), so it lends
+  /// their frame buffers to the monitor's reassembly holds.
+  static void feed_run(Shard& state, net::Packet* run, std::size_t count) {
+    state.monitor->feed_batch_lend(run, count);
     for (std::size_t i = 0; i < count; ++i) {
       state.max_fed = std::max(state.max_fed, run[i].timestamp.nanos());
     }
@@ -640,6 +642,8 @@ struct MonitorFleet::Impl {
     total.gaps_observed += shard.gaps_observed;
     total.flows_swept += shard.flows_swept;
     total.flows_closed += shard.flows_closed;
+    total.holds_lent += shard.holds_lent;
+    total.holds_copied += shard.holds_copied;
     total.timer_fires += shard.timer_fires;
     total.ceiling_violations += shard.ceiling_violations;
     // Sum of per-shard peaks: an upper bound on the simultaneous peak.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <sstream>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -21,6 +22,7 @@ std::string MonitorStats::to_string() const {
       << " synthesized=" << questions_synthesized
       << " gaps=" << gaps_observed << " flows_swept=" << flows_swept
       << " flows_closed=" << flows_closed
+      << " holds_lent=" << holds_lent << " holds_copied=" << holds_copied
       << " timer_fires=" << timer_fires
       << " ceiling_violations=" << ceiling_violations
       << " peak_viewers=" << peak_viewers
@@ -474,14 +476,17 @@ struct ContinuousMonitor::Impl {
     note_memory();
   }
 
-  void feed_batch(const net::Packet* packets, std::size_t count) {
+  /// `Frame` is `const net::Packet` or, for a caller that lends its
+  /// frame buffers to the extractor's holds, `net::Packet`.
+  template <typename Frame>
+  void feed_batch(Frame* packets, std::size_t count) {
     while (count > 0) {
       // Decoding is stateless, so a whole slab can be decoded ahead of
       // the timers that fire between its packets.
       const std::size_t n = std::min(count, net::DecodedSlab::kCapacity);
       net::decode_slab(packets, n, slab);
       for (std::size_t i = 0; i < n; ++i) {
-        const net::Packet& packet = packets[i];
+        Frame& packet = packets[i];
         ++stats.packets;
         // Fire everything due strictly before this packet's instant,
         // then analyze — one timeline, capture-time ordered.
@@ -490,8 +495,13 @@ struct ContinuousMonitor::Impl {
           arm_flow_sweep(packet.timestamp);
         }
         events.clear();
-        extractor.feed_lens(packet.timestamp, packet.data, slab.lens[i],
-                            /*stable_payload=*/false, events);
+        if constexpr (std::is_const_v<Frame>) {
+          extractor.feed_lens(packet.timestamp, packet.data, slab.lens[i],
+                              /*stable_payload=*/false, events);
+        } else {
+          extractor.feed_lens_lend(packet.timestamp, packet.data, slab.lens[i],
+                                   events);
+        }
         stats.flows_closed = extractor.flows_closed();
         for (const tls::StreamEvent& stream_event : events) {
           handle_event(stream_event);
@@ -500,6 +510,8 @@ struct ContinuousMonitor::Impl {
       packets += n;
       count -= n;
     }
+    stats.holds_lent = extractor.holds_lent();
+    stats.holds_copied = extractor.holds_copied();
   }
 
   const core::RecordClassifier& classifier;
@@ -549,6 +561,11 @@ void ContinuousMonitor::feed(const net::Packet& packet) {
 
 void ContinuousMonitor::feed_batch(const net::Packet* packets,
                                    std::size_t count) {
+  impl_->feed_batch(packets, count);
+}
+
+void ContinuousMonitor::feed_batch_lend(net::Packet* packets,
+                                        std::size_t count) {
   impl_->feed_batch(packets, count);
 }
 

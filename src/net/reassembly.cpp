@@ -5,6 +5,61 @@
 
 namespace wm::net {
 
+StreamChunk::StreamChunk(const StreamChunk& other)
+    : timestamp(other.timestamp),
+      stream_offset(other.stream_offset),
+      owner(other.owner),
+      view(other.view) {
+  if (!owner.empty()) {
+    view = util::BytesView(owner).subspan(
+        static_cast<std::size_t>(other.view.data() - other.owner.data()),
+        other.view.size());
+  }
+}
+
+StreamChunk& StreamChunk::operator=(const StreamChunk& other) {
+  if (this != &other) *this = StreamChunk(other);
+  return *this;
+}
+
+void HoldBuffers::hold(util::BytesView piece, util::Bytes*& frame,
+                       StreamChunk& chunk) {
+  if (frame != nullptr) frame_bytes_ = std::max(frame_bytes_, frame->size());
+  if (frame != nullptr && !spares_.empty() &&
+      spares_.back().capacity() >= frame->size()) {
+    // Lend: the piece's bytes stay where they are, now owned by the
+    // hold, and the frame gets a spare that fits it.
+    chunk.owner = std::move(*frame);
+    *frame = std::move(spares_.back());
+    spares_.pop_back();
+    frame = nullptr;
+    chunk.view = piece;
+    ++lent_;
+    return;
+  }
+  if (!spares_.empty()) {
+    chunk.owner = std::move(spares_.back());
+    spares_.pop_back();
+  }
+  // Sized to stand in for any frame seen so far, once it is a spare.
+  chunk.owner.reserve(std::max(piece.size(), frame_bytes_));
+  chunk.owner.assign(piece.begin(), piece.end());
+  chunk.view = chunk.owner;
+  ++copied_;
+}
+
+void HoldBuffers::recycle(util::Bytes buffer) {
+  if (spares_.size() >= cap_) return;  // `buffer` is freed
+  buffer.clear();
+  spares_.push_back(std::move(buffer));
+}
+
+std::size_t HoldBuffers::memory_bytes() const {
+  std::size_t total = spares_.capacity() * sizeof(util::Bytes);
+  for (const util::Bytes& spare : spares_) total += spare.capacity();
+  return total;
+}
+
 std::uint64_t TcpStreamReassembler::unwrap(std::uint32_t sequence) const {
   // Choose the 64-bit value congruent to `sequence` (mod 2^32) closest
   // to the current expectation.
@@ -30,9 +85,9 @@ std::uint64_t TcpStreamReassembler::unwrap(std::uint32_t sequence) const {
   return best;
 }
 
-bool TcpStreamReassembler::over_reorder_window() const {
+bool TcpStreamReassembler::over_reorder_window(std::size_t segments) const {
   return buffered_bytes_ > config_.reorder_window_bytes ||
-         pending_.size() > config_.reorder_window_segments;
+         segments > config_.reorder_window_segments;
 }
 
 std::vector<TcpStreamReassembler::Pending>::iterator
@@ -135,7 +190,7 @@ std::vector<StreamItem> TcpStreamReassembler::on_segment(
     util::BytesView payload, std::size_t truncated_bytes) {
   std::vector<StreamItem> out;
   on_segment(timestamp, sequence, syn, fin, payload, truncated_bytes,
-             /*stable_payload=*/false, out);
+             PayloadHold{}, out);
   return out;
 }
 
@@ -143,7 +198,7 @@ void TcpStreamReassembler::on_segment(util::SimTime timestamp,
                                       std::uint32_t sequence, bool syn, bool fin,
                                       util::BytesView payload,
                                       std::size_t truncated_bytes,
-                                      bool stable_payload,
+                                      PayloadHold hold,
                                       std::vector<StreamItem>& out) {
   if (!synchronized_) {
     // Establish the base sequence. A SYN consumes one sequence number;
@@ -169,6 +224,9 @@ void TcpStreamReassembler::on_segment(util::SimTime timestamp,
   }
 
   if (!payload.empty()) {
+    // Without a caller's spares, owned holds copy into fresh buffers.
+    HoldBuffers fresh(0);
+    HoldBuffers& buffers = hold.buffers != nullptr ? *hold.buffers : fresh;
     std::uint64_t start = seg_start;
     util::BytesView data = payload;
 
@@ -220,14 +278,13 @@ void TcpStreamReassembler::on_segment(util::SimTime timestamp,
           resurrect(cursor, cursor + piece.size());
           Pending pending;
           pending.start = cursor;
-          pending.arrived = timestamp;
-          if (stable_payload) {
+          pending.chunk.timestamp = timestamp;
+          if (hold.stable) {
             // Zero-copy hold: the caller guaranteed the span outlives
             // this reassembler, so buffering borrows instead of copying.
-            pending.view = piece;
+            pending.chunk.view = piece;
           } else {
-            pending.data.assign(piece.begin(), piece.end());
-            pending.view = pending.data;
+            buffers.hold(piece, hold.frame, pending.chunk);
           }
           // next_it is the insertion point computed above; resurrect()
           // only touches dead_, so it is still valid.
@@ -293,7 +350,10 @@ void TcpStreamReassembler::flush(util::SimTime timestamp,
 
 void TcpStreamReassembler::drain(util::SimTime timestamp, bool condemn_all,
                                  std::vector<StreamItem>& out) {
+  // Pieces delivered so far; pending_ loses them in one erase at the end.
+  std::size_t taken = 0;
   for (;;) {
+    const std::size_t held = pending_.size() - taken;
     // Prune dead ranges the stream has already moved past.
     while (!dead_.empty() && dead_.begin()->second.end <= expected_) {
       dead_.erase(dead_.begin());
@@ -305,8 +365,8 @@ void TcpStreamReassembler::drain(util::SimTime timestamp, bool condemn_all,
     // past the range, or when buffer pressure says the bytes are gone.
     if (!dead_.empty() && dead_.begin()->first <= expected_) {
       const std::uint64_t end = dead_.begin()->second.end;
-      const bool resumable = !pending_.empty() && pending_.front().start <= end;
-      if (!condemn_all && !resumable && !over_reorder_window()) break;
+      const bool resumable = held > 0 && pending_[taken].start <= end;
+      if (!condemn_all && !resumable && !over_reorder_window(held)) break;
       StreamGap gap;
       gap.timestamp = timestamp;
       gap.stream_offset = expected_ - base_;
@@ -320,41 +380,27 @@ void TcpStreamReassembler::drain(util::SimTime timestamp, bool condemn_all,
       continue;
     }
 
-    if (!pending_.empty() && pending_.front().start <= expected_) {
-      Pending piece = std::move(pending_.front());
-      pending_.erase(pending_.begin());
-      buffered_bytes_ -= piece.view.size();
+    if (held > 0 && pending_[taken].start <= expected_) {
+      Pending& piece = pending_[taken++];
+      StreamChunk& chunk = piece.chunk;
+      buffered_bytes_ -= chunk.view.size();
 
       // start <= expected_ is guaranteed; overlap was trimmed on entry,
-      // but a defensive re-trim is cheap.
+      // but a defensive re-trim is cheap. The owner is handed over
+      // whole either way: the view says which bytes are the chunk's.
       if (piece.start < expected_) {
         const std::uint64_t overlap = expected_ - piece.start;
-        if (overlap >= piece.view.size()) continue;
-        piece.view = piece.view.subspan(static_cast<std::size_t>(overlap));
+        if (overlap >= chunk.view.size()) continue;
+        chunk.view = chunk.view.subspan(static_cast<std::size_t>(overlap));
       }
 
-      StreamChunk chunk;
-      // First-arrival stamp: buffering behind a reordered segment must
-      // not shift the chunk's capture time (timing features depend on
-      // when the bytes were seen, not when the hole filled).
-      chunk.timestamp = piece.arrived;
+      // The stamp stays the first arrival's: buffering behind a
+      // reordered segment must not shift the chunk's capture time
+      // (timing features depend on when the bytes were seen, not when
+      // the hole filled).
       chunk.stream_offset = expected_ - base_;
-      expected_ += piece.view.size();
-      delivered_ += piece.view.size();
-      if (!piece.data.empty()) {
-        // Owned hold: hand the buffer itself to the chunk, dropping any
-        // overlap-trimmed prefix first so data matches the view.
-        if (piece.view.size() != piece.data.size()) {
-          piece.data.erase(piece.data.begin(),
-                           piece.data.begin() +
-                               static_cast<std::ptrdiff_t>(piece.data.size() -
-                                                           piece.view.size()));
-        }
-        chunk.data = std::move(piece.data);
-      } else {
-        // Borrowed hold (stable_payload): the chunk borrows too.
-        chunk.borrowed = piece.view;
-      }
+      expected_ += chunk.view.size();
+      delivered_ += chunk.view.size();
       out.push_back(StreamItem::make_chunk(std::move(chunk)));
       continue;
     }
@@ -362,10 +408,10 @@ void TcpStreamReassembler::drain(util::SimTime timestamp, bool condemn_all,
     // Head-of-line hole. Condemn it if the reorder window is exceeded
     // (the hole will not fill: anything this far behind the buffered
     // frontier was lost, not reordered) or if we are flushing.
-    if (!condemn_all && !(!pending_.empty() && over_reorder_window())) break;
+    if (!condemn_all && !(held > 0 && over_reorder_window(held))) break;
 
     std::uint64_t hole_end = std::numeric_limits<std::uint64_t>::max();
-    if (!pending_.empty()) hole_end = pending_.front().start;
+    if (held > 0) hole_end = pending_[taken].start;
     if (!dead_.empty()) hole_end = std::min(hole_end, dead_.begin()->first);
     if (condemn_all && fin_seen_ && fin_at_ > expected_) {
       hole_end = std::min(hole_end, fin_at_);
@@ -384,6 +430,8 @@ void TcpStreamReassembler::drain(util::SimTime timestamp, bool condemn_all,
     gap_bytes_ += gap.length;
     out.push_back(StreamItem::make_gap(gap));
   }
+  pending_.erase(pending_.begin(),
+                 pending_.begin() + static_cast<std::ptrdiff_t>(taken));
 }
 
 std::size_t TcpStreamReassembler::memory_bytes() const {
@@ -393,7 +441,7 @@ std::size_t TcpStreamReassembler::memory_bytes() const {
       sizeof(std::pair<const std::uint64_t, DeadRange>) + 4 * sizeof(void*);
   std::size_t total =
       pending_.capacity() * sizeof(Pending) + dead_.size() * kDeadNode;
-  for (const Pending& piece : pending_) total += piece.data.capacity();
+  for (const Pending& piece : pending_) total += piece.chunk.owner.capacity();
   return total;
 }
 
@@ -401,7 +449,7 @@ void TcpConnectionReassembler::on_segment(
     FlowDirection direction, util::SimTime timestamp, std::uint32_t sequence,
     bool syn, bool fin, bool rst, util::BytesView payload,
     std::size_t truncated_bytes, std::vector<DirectedItem>& out,
-    bool stable_payload) {
+    PayloadHold hold) {
   if (reset_) return;  // no data delivery after reset
   if (rst) {
     reset_ = true;
@@ -427,7 +475,7 @@ void TcpConnectionReassembler::on_segment(
       direction == FlowDirection::kClientToServer ? client_ : server_;
   scratch_.clear();
   target.on_segment(timestamp, sequence, syn, fin, payload, truncated_bytes,
-                    stable_payload, scratch_);
+                    hold, scratch_);
   for (StreamItem& item : scratch_) {
     out.push_back(DirectedItem{direction, std::move(item)});
   }

@@ -15,6 +15,10 @@ namespace {
 constexpr std::size_t kFlowPoolCap = 1024;
 /// Initial index capacity (power of two).
 constexpr std::size_t kIndexInitialSlots = 1024;
+/// Spare hold buffers kept for reuse (each about a frame, ~1.5 KB).
+/// Enough for the holds a shard has out at once on jittered traffic;
+/// more would only sit idle, and they die with the extractor.
+constexpr std::size_t kSpareHolds = 64;
 
 }  // namespace
 
@@ -31,7 +35,8 @@ RecordStreamExtractor::RecordStreamExtractor(Config config)
       arena_(std::make_unique<util::Arena>()),
       flows_(std::less<net::FlowKey>(),
              util::ArenaAllocator<std::pair<const net::FlowKey, PerFlow>>(
-                 arena_.get())) {
+                 arena_.get())),
+      holds_(kSpareHolds) {
   if (config_.registry != nullptr) {
     const auto resolve = [this](const std::string& suffix,
                                 obs::Stability rollup_stability =
@@ -109,8 +114,11 @@ std::vector<StreamEvent> RecordStreamExtractor::feed(const net::Packet& packet) 
       (tcp.psh ? 0x08 : 0) | (tcp.ack ? 0x10 : 0) | (tcp.urg ? 0x20 : 0));
   feed_tcp(packet.timestamp, endpoints->source, endpoints->destination, flags,
            tcp.sequence, decoded->transport_payload,
-           decoded->transport_payload_missing, /*stable_payload=*/false, out);
-  if (config_.idle_timeout != util::Duration{}) evict_idle(packet.timestamp);
+           decoded->transport_payload_missing, net::PayloadHold{false, &holds_},
+           out);
+  if (config_.idle_timeout != util::Duration{}) {
+    evict_idle(packet.timestamp, out.size());
+  }
   return out;
 }
 
@@ -119,6 +127,22 @@ void RecordStreamExtractor::feed_lens(util::SimTime timestamp,
                                       const net::PacketLens& lens,
                                       bool stable_payload,
                                       std::vector<StreamEvent>& out) {
+  feed_frame(timestamp, frame, lens, stable_payload, nullptr, out);
+}
+
+void RecordStreamExtractor::feed_lens_lend(util::SimTime timestamp,
+                                           util::Bytes& frame,
+                                           const net::PacketLens& lens,
+                                           std::vector<StreamEvent>& out) {
+  feed_frame(timestamp, frame, lens, /*stable_payload=*/false, &frame, out);
+}
+
+void RecordStreamExtractor::feed_frame(util::SimTime timestamp,
+                                       util::BytesView frame,
+                                       const net::PacketLens& lens,
+                                       bool stable_payload,
+                                       util::Bytes* lendable,
+                                       std::vector<StreamEvent>& out) {
   ++packets_seen_;
   obs::inc(metrics_.packets);
   if (lens.status != net::LensStatus::kTcp) {
@@ -151,8 +175,9 @@ void RecordStreamExtractor::feed_lens(util::SimTime timestamp,
 
   feed_tcp(timestamp, source, destination, lens.tcp_flags, lens.sequence,
            frame.subspan(lens.payload_offset, lens.payload_length),
-           lens.truncated_bytes, stable_payload, out);
-  if (config_.idle_timeout != util::Duration{}) evict_idle(timestamp);
+           lens.truncated_bytes,
+           net::PayloadHold{stable_payload, &holds_, lendable}, out);
+  if (config_.idle_timeout != util::Duration{}) evict_idle(timestamp, out.size());
 }
 
 void RecordStreamExtractor::feed_batch(const net::Packet* packets,
@@ -162,8 +187,8 @@ void RecordStreamExtractor::feed_batch(const net::Packet* packets,
     const std::size_t n = std::min(count, net::DecodedSlab::kCapacity);
     net::decode_slab(packets, n, slab_);
     for (std::size_t i = 0; i < n; ++i) {
-      feed_lens(packets[i].timestamp, packets[i].data, slab_.lens[i],
-                /*stable_payload=*/false, out);
+      feed_frame(packets[i].timestamp, packets[i].data, slab_.lens[i],
+                 /*stable_payload=*/false, nullptr, out);
     }
     packets += n;
     count -= n;
@@ -178,8 +203,8 @@ void RecordStreamExtractor::feed_batch(const net::PacketView* packets,
     const std::size_t n = std::min(count, net::DecodedSlab::kCapacity);
     net::decode_slab(packets, n, slab_);
     for (std::size_t i = 0; i < n; ++i) {
-      feed_lens(packets[i].timestamp, packets[i].data, slab_.lens[i],
-                stable_payload, out);
+      feed_frame(packets[i].timestamp, packets[i].data, slab_.lens[i],
+                 stable_payload, nullptr, out);
     }
     packets += n;
     count -= n;
@@ -193,7 +218,7 @@ void RecordStreamExtractor::feed_tcp(util::SimTime timestamp,
                                      std::uint32_t sequence,
                                      util::BytesView payload,
                                      std::size_t truncated_bytes,
-                                     bool stable_payload,
+                                     net::PayloadHold hold,
                                      std::vector<StreamEvent>& out) {
   std::uint64_t hash =
       net::endpoint_pair_hash(source, destination, net::IpProtocol::kTcp);
@@ -236,7 +261,7 @@ void RecordStreamExtractor::feed_tcp(util::SimTime timestamp,
   // nothing, so the slow path sees pristine state.
   if ((tcp_flags & 0x07) != 0 || truncated_bytes != 0) {
     feed_tcp_slow(it, direction, timestamp, sequence, tcp_flags, payload,
-                  truncated_bytes, has_payload, stable_payload, out);
+                  truncated_bytes, has_payload, hold, out);
     return;
   }
   const std::optional<std::uint64_t> offset =
@@ -244,7 +269,7 @@ void RecordStreamExtractor::feed_tcp(util::SimTime timestamp,
                                                           payload.size());
   if (!offset) {
     feed_tcp_slow(it, direction, timestamp, sequence, tcp_flags, payload,
-                  truncated_bytes, has_payload, stable_payload, out);
+                  truncated_bytes, has_payload, hold, out);
     return;
   }
   if (!has_payload) return;  // in-order pure ACK: nothing to deliver
@@ -269,7 +294,7 @@ void RecordStreamExtractor::feed_tcp(util::SimTime timestamp,
 void RecordStreamExtractor::feed_tcp_slow(
     FlowMap::iterator it, net::FlowDirection direction, util::SimTime timestamp,
     std::uint32_t sequence, std::uint8_t tcp_flags, util::BytesView payload,
-    std::size_t truncated_bytes, bool has_payload, bool stable_payload,
+    std::size_t truncated_bytes, bool has_payload, net::PayloadHold hold,
     std::vector<StreamEvent>& out) {
   PerFlow& state = it->second;
   const std::uint64_t dropped_before =
@@ -280,7 +305,7 @@ void RecordStreamExtractor::feed_tcp_slow(
   state.reassembler.on_segment(direction, timestamp, sequence,
                                (tcp_flags & 0x02) != 0, (tcp_flags & 0x01) != 0,
                                (tcp_flags & 0x04) != 0, payload,
-                               truncated_bytes, items_scratch_, stable_payload);
+                               truncated_bytes, items_scratch_, hold);
   if (has_payload && items_scratch_.empty()) {
     obs::inc(metrics_.tcp_segments_buffered);
   }
@@ -352,7 +377,10 @@ RecordStreamExtractor::FlowMap::iterator RecordStreamExtractor::insert_flow(
 }
 
 RecordStreamExtractor::FlowMap::iterator RecordStreamExtractor::erase_flow(
-    FlowMap::iterator it) {
+    FlowMap::iterator it, std::size_t events_before) {
+  if (config_.report_retired) {
+    retired_.push_back(RetiredFlow{it->first, it->second.sni, events_before});
+  }
   if (!index_.empty()) {
     const std::uint64_t hash = it->second.index_hash;
     const std::size_t mask = index_.size() - 1;
@@ -457,6 +485,9 @@ void RecordStreamExtractor::process_items(
     for (auto& parsed : parsed_scratch_) {
       emit_record(key, state, directed.direction, parsed, out);
     }
+    // The parser copied what it keeps, and the records' payload views
+    // (read for SNI) are done with: the buffer can hold the next piece.
+    if (!chunk.owner.empty()) holds_.recycle(std::move(chunk.owner));
   }
   // The records' payload views are done with.
   state.client_parser.trim();
@@ -536,7 +567,7 @@ void RecordStreamExtractor::complete_flow(FlowMap::iterator it,
   parsed_scratch_.clear();
   sync_tls_counters(state);
   if (config_.retain_events) completed_.push_back(snapshot(key, state));
-  erase_flow(it);
+  erase_flow(it, out.size());
   ++flows_completed_;
 }
 
@@ -557,11 +588,12 @@ std::size_t RecordStreamExtractor::sweep_idle(util::SimTime now) {
   const std::uint64_t before = flows_evicted_;
   // Reset the cadence gate: a timer-driven sweep is authoritative.
   sweep_armed_ = false;
-  evict_idle(now);
+  evict_idle(now, 0);
   return static_cast<std::size_t>(flows_evicted_ - before);
 }
 
-void RecordStreamExtractor::evict_idle(util::SimTime now) {
+void RecordStreamExtractor::evict_idle(util::SimTime now,
+                                       std::size_t events_before) {
   // Sweep at a fraction of the timeout so the scan cost amortizes to
   // O(1) per packet while flows still leave within ~1.25x the timeout.
   const util::Duration cadence =
@@ -577,7 +609,7 @@ void RecordStreamExtractor::evict_idle(util::SimTime now) {
       if (config_.retain_events) {
         completed_.push_back(snapshot(it->first, it->second));
       }
-      it = erase_flow(it);
+      it = erase_flow(it, events_before);
       ++evicted;
     } else {
       ++it;
@@ -642,7 +674,7 @@ std::size_t RecordStreamExtractor::memory_bytes() const {
   };
   std::size_t total = arena_->stats().live_bytes +
                       index_.capacity() * sizeof(IndexSlot) +
-                      pool_.capacity() * sizeof(PerFlow);
+                      pool_.capacity() * sizeof(PerFlow) + holds_.memory_bytes();
   for (const auto& [key, state] : flows_) total += held(state);
   for (const PerFlow& shell : pool_) total += held(shell);
   return total;

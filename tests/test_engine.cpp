@@ -300,6 +300,35 @@ TEST(Engine, LongReplayEvictsIdleFlowsAndStaysBounded) {
   EXPECT_EQ(closed.stats.flows_opened, report.stats.flows_opened);
   EXPECT_EQ(closed.stats.flows_evicted, 0u);
   EXPECT_LE(closed.stats.peak_active_flows, flows_per_lap * 2);
+
+  // The engine's per-flow entries (collector key, cached SNI) leave
+  // with their flows. Fed lap by lap through an inline engine: with the
+  // teardown left in, none is left after any lap; without it, idle
+  // eviction bounds them as it bounds the flows. finish() leaves none.
+  for (const bool teardown : {true, false}) {
+    const std::string context = teardown ? "closing replay" : "stripped replay";
+    test::ChunkedReplaySource lapped(teardown ? base.capture.packets : stripped,
+                                     replay_config);
+    std::vector<std::vector<net::Packet>> laps(kLaps);
+    while (auto packet = lapped.next()) {
+      laps[lapped.laps_completed()].push_back(std::move(*packet));
+    }
+    engine::EngineConfig engine_config;
+    engine_config.flow_idle_timeout = session_length;
+    engine::ShardedFlowEngine engine(pipeline.classifier(), engine_config);
+    for (std::size_t lap = 0; lap < kLaps; ++lap) {
+      engine::VectorSource lap_source(&laps[lap]);
+      engine.consume(lap_source);
+      if (teardown) {
+        EXPECT_EQ(engine.flow_entries(), 0u) << context << " lap " << lap;
+      } else {
+        EXPECT_LE(engine.flow_entries(), flows_per_lap * 4)
+            << context << " lap " << lap;
+      }
+    }
+    (void)engine.finish();
+    EXPECT_EQ(engine.flow_entries(), 0u) << context;
+  }
 }
 
 TEST(Engine, ReplayWithoutRewriteKeepsOneViewer) {

@@ -470,7 +470,10 @@ TEST(MonitorFleet, StressTinyRingsBackpressureAndShutdownWhileFeeding) {
 /// workers once its return rings are full). Streams stay exactly the
 /// single monitor's, and the pumps' fresh allocations stay under a
 /// bound set by ring and batch sizes alone — far below the capture's
-/// length.
+/// length. The second pass replays the capture reordered by N(0, 0.2
+/// ms) jitter (the simulator's reorder jitter), so the workers' monitors
+/// hold out-of-order segments in the frame buffers they lend, which go
+/// home through the same return rings.
 TEST(MonitorFleet, RecycledBuffersKeepStreamsExactUnderBackpressure) {
   WorkloadConfig workload;
   workload.sessions = 400;
@@ -479,74 +482,89 @@ TEST(MonitorFleet, RecycledBuffersKeepStreamsExactUnderBackpressure) {
   core::IntervalClassifier classifier;
   classifier.fit(workload_calibration(workload));
 
-  // Round-trip through pcap once, so the file-backed sources replay
-  // exactly the packets (and timestamp resolution) the reference sees.
+  // Round-trip through pcap, so the file-backed sources replay exactly
+  // the packets (and timestamp resolution) the reference sees.
   const auto dir = std::filesystem::temp_directory_path();
-  const auto whole = dir / "wm_fleet_recycle_whole.pcap";
-  net::write_pcap(whole, materialize(workload));
-  const std::vector<net::Packet> packets = net::read_pcap(whole);
-  std::filesystem::remove(whole);
+  const auto round_trip = [&](const std::vector<net::Packet>& in) {
+    const auto whole = dir / "wm_fleet_recycle_whole.pcap";
+    net::write_pcap(whole, in);
+    std::vector<net::Packet> out = net::read_pcap(whole);
+    std::filesystem::remove(whole);
+    return out;
+  };
+  const std::vector<net::Packet> clean = round_trip(materialize(workload));
+  util::Rng jitter_rng(2305);
+  const std::vector<net::Packet> jittered =
+      round_trip(sim::jitter_order(clean, 0.0002, jitter_rng));
 
-  ReferenceRun reference;
-  run_reference(classifier, packets, reference);
+  for (const bool reordered : {false, true}) {
+    const std::vector<net::Packet>& packets = reordered ? jittered : clean;
+    const std::string traffic = reordered ? "jittered " : "clean ";
 
-  constexpr std::size_t kShards = 4;
-  constexpr std::size_t kSources = 4;
-  // Sources take viewers by different hash bits than shards do, so
-  // every source feeds every shard and the merge interleaves them.
-  std::vector<std::vector<net::Packet>> parts(kSources);
-  for (const net::Packet& packet : packets) {
-    const auto hash = net::viewer_shard_hash(packet);
-    const std::size_t slot = hash ? static_cast<std::size_t>((*hash >> 8) % kSources) : 0;
-    parts[slot].push_back(packet);
-  }
+    ReferenceRun reference;
+    run_reference(classifier, packets, reference);
 
-  for (const std::size_t batch : {1u, 7u}) {
-    const std::string label = "batch=" + std::to_string(batch);
-    FleetSink sink;
-    FleetConfig config;
-    config.shards = kShards;
-    config.sources = kSources;
-    config.ring_capacity = batch;
-    config.batch = batch;
-    config.merge_wait = util::Duration::seconds(30);
-    config.monitor = diff_config();
-    ASSERT_GE(packets.size(), 50 * kSources * kShards * config.ring_capacity)
-        << label;
-
-    std::vector<std::filesystem::path> files;
-    for (const std::size_t slot : {1u, 3u}) {
-      files.push_back(dir / ("wm_fleet_recycle_" + std::to_string(batch) +
-                             "_" + std::to_string(slot) + ".pcap"));
-      net::write_pcap(files.back(), parts[slot]);
+    constexpr std::size_t kShards = 4;
+    constexpr std::size_t kSources = 4;
+    // Sources take viewers by different hash bits than shards do, so
+    // every source feeds every shard and the merge interleaves them.
+    std::vector<std::vector<net::Packet>> parts(kSources);
+    for (const net::Packet& packet : packets) {
+      const auto hash = net::viewer_shard_hash(packet);
+      const std::size_t slot = hash ? static_cast<std::size_t>((*hash >> 8) % kSources) : 0;
+      parts[slot].push_back(packet);
     }
-    engine::VectorSource borrowed(&parts[0]);
-    auto first_file = engine::open_capture(files[0]);
-    auto second_file = engine::open_capture(files[1]);
-    ASSERT_TRUE(first_file.ok() && second_file.ok()) << label;
-    InjectableTap tap;
-    {
-      MonitorFleet fleet(classifier, config, &sink);
-      fleet.attach(borrowed);
-      fleet.attach(*first_file.value());
-      fleet.attach(tap);
-      fleet.attach(*second_file.value());
-      for (const net::Packet& packet : parts[2]) {
-        ASSERT_TRUE(tap.inject(packet)) << label;
-      }
-      tap.close();
-      const FleetStats stats = fleet.finish();
 
-      expect_equal_streams(sink, reference.sink, label);
-      expect_equal_totals(stats, reference.stats, label);
-      EXPECT_EQ(stats.packets, packets.size()) << label;
-      EXPECT_EQ(stats.merge_deferrals, 0u) << label;
-      EXPECT_GT(stats.backpressure_waits, 0u) << label;
-      EXPECT_LE(stats.buffers_allocated,
-                kSources * kShards * 2 * (config.ring_capacity + batch))
+    for (const std::size_t batch : {1u, 7u}) {
+      const std::string label = traffic + "batch=" + std::to_string(batch);
+      FleetSink sink;
+      FleetConfig config;
+      config.shards = kShards;
+      config.sources = kSources;
+      config.ring_capacity = batch;
+      config.batch = batch;
+      config.merge_wait = util::Duration::seconds(30);
+      config.monitor = diff_config();
+      ASSERT_GE(packets.size(), 50 * kSources * kShards * config.ring_capacity)
           << label;
+
+      std::vector<std::filesystem::path> files;
+      for (const std::size_t slot : {1u, 3u}) {
+        files.push_back(dir / ("wm_fleet_recycle_" + std::to_string(batch) +
+                               "_" + std::to_string(slot) + ".pcap"));
+        net::write_pcap(files.back(), parts[slot]);
+      }
+      engine::VectorSource borrowed(&parts[0]);
+      auto first_file = engine::open_capture(files[0]);
+      auto second_file = engine::open_capture(files[1]);
+      ASSERT_TRUE(first_file.ok() && second_file.ok()) << label;
+      InjectableTap tap;
+      {
+        MonitorFleet fleet(classifier, config, &sink);
+        fleet.attach(borrowed);
+        fleet.attach(*first_file.value());
+        fleet.attach(tap);
+        fleet.attach(*second_file.value());
+        for (const net::Packet& packet : parts[2]) {
+          ASSERT_TRUE(tap.inject(packet)) << label;
+        }
+        tap.close();
+        const FleetStats stats = fleet.finish();
+
+        expect_equal_streams(sink, reference.sink, label);
+        expect_equal_totals(stats, reference.stats, label);
+        EXPECT_EQ(stats.packets, packets.size()) << label;
+        EXPECT_EQ(stats.merge_deferrals, 0u) << label;
+        EXPECT_GT(stats.backpressure_waits, 0u) << label;
+        EXPECT_LE(stats.buffers_allocated,
+                  kSources * kShards * 2 * (config.ring_capacity + batch))
+            << label;
+        if (reordered) {
+          EXPECT_GT(stats.totals.holds_lent, 0u) << label;
+        }
+      }
+      for (const auto& file : files) std::filesystem::remove(file);
     }
-    for (const auto& file : files) std::filesystem::remove(file);
   }
 }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <tuple>
+
+#include "wm/util/rng.hpp"
 
 namespace wm::net {
 namespace {
@@ -18,7 +22,8 @@ std::string drain_to_string(const std::vector<StreamItem>& items) {
   std::string out;
   for (const StreamItem& item : items) {
     if (item.kind != StreamItem::Kind::kChunk) continue;
-    out.append(item.chunk.data.begin(), item.chunk.data.end());
+    const util::BytesView bytes = item.chunk.bytes();
+    out.append(bytes.begin(), bytes.end());
   }
   return out;
 }
@@ -221,6 +226,157 @@ TEST(Reassembly, ManySegmentsRandomOrder) {
   EXPECT_EQ(reconstructed, payload);
 }
 
+/// One delivered item, flattened for comparison across hold modes.
+using Delivered = std::tuple<StreamItem::Kind, std::uint64_t, SimTime,
+                             std::string, std::uint64_t, StreamGap::Cause>;
+
+/// Records `items` and hands owned chunk buffers back to `buffers`, as
+/// the record-stream extractor does once its parser is done with them.
+void collect(std::vector<StreamItem>& items, HoldBuffers* buffers,
+             std::vector<Delivered>& out) {
+  for (StreamItem& item : items) {
+    if (item.kind == StreamItem::Kind::kGap) {
+      out.emplace_back(item.kind, item.gap.stream_offset, item.gap.timestamp,
+                       std::string(), item.gap.length, item.gap.cause);
+      continue;
+    }
+    const util::BytesView bytes = item.chunk.bytes();
+    out.emplace_back(item.kind, item.chunk.stream_offset, item.chunk.timestamp,
+                     std::string(bytes.begin(), bytes.end()), 0,
+                     StreamGap::Cause::kReorderWindow);
+    if (buffers != nullptr && !item.chunk.owner.empty()) {
+      buffers->recycle(std::move(item.chunk.owner));
+    }
+  }
+  items.clear();
+}
+
+TEST(Reassembly, BorrowedPooledAndLentHoldsDeliverIdentically) {
+  // Random-order segments, each carried inside a frame (header bytes,
+  // payload, trailer), with duplicates, overlaps spanning several
+  // buffered pieces, and lost segments a small reorder window condemns.
+  // Three reassemblers see the same segments: one borrows the frames
+  // (kept alive throughout), one copies into pooled spares, one may
+  // take each frame whole. The frames the latter two saw are scribbled
+  // over after each call, as a pump reusing the buffer would.
+  std::uint64_t lends = 0;
+  std::size_t split_lends = 0;  // lent segments whose later pieces copied
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Rng rng(seed);
+    const std::size_t stream_size = 4000 + rng.next_below(16000);
+    std::string stream(stream_size, '\0');
+    for (char& byte : stream) byte = static_cast<char>('a' + rng.next_below(26));
+
+    struct Segment {
+      std::size_t offset = 0;
+      std::size_t length = 0;
+      std::size_t header = 0;
+      std::size_t trailer = 0;
+    };
+    std::vector<Segment> segments;
+    const auto add = [&](std::size_t offset, std::size_t length) {
+      segments.push_back(
+          {offset, length, 14 + rng.next_below(60), rng.next_below(8)});
+    };
+    for (std::size_t offset = 0; offset < stream_size;) {
+      const std::size_t length =
+          std::min<std::size_t>(1 + rng.next_below(1460), stream_size - offset);
+      if (!rng.bernoulli(0.03)) add(offset, length);  // else lost
+      offset += length;
+    }
+    const std::size_t extra = segments.size() / 3;
+    for (std::size_t i = 0; i < extra; ++i) {
+      const std::size_t offset = rng.next_below(stream_size);
+      add(offset, std::min<std::size_t>(1 + rng.next_below(3000),
+                                        stream_size - offset));
+    }
+    // Local scramble: each segment moves a few places at most.
+    for (std::size_t i = 0; i + 1 < segments.size(); ++i) {
+      std::swap(segments[i],
+                segments[i + rng.next_below(std::min<std::size_t>(
+                                 6, segments.size() - i))]);
+    }
+    const auto frame_of = [&](const Segment& segment, Bytes& frame) {
+      frame.assign(segment.header, 0x55);
+      const auto first = stream.begin() + static_cast<std::ptrdiff_t>(segment.offset);
+      frame.insert(frame.end(), first,
+                   first + static_cast<std::ptrdiff_t>(segment.length));
+      frame.resize(frame.size() + segment.trailer, 0x66);
+      return util::BytesView(frame).subspan(segment.header, segment.length);
+    };
+
+    TcpStreamReassembler::Config config;
+    config.reorder_window_segments = 8;
+    TcpStreamReassembler borrowed(config);
+    TcpStreamReassembler pooled(config);
+    TcpStreamReassembler lent(config);
+    HoldBuffers pool_spares(64);
+    HoldBuffers lend_spares(64);
+    std::vector<Delivered> borrowed_out;
+    std::vector<Delivered> pooled_out;
+    std::vector<Delivered> lent_out;
+    std::vector<StreamItem> items;
+    std::vector<Bytes> stable_frames(segments.size());
+    Bytes pooled_frame;
+    Bytes lend_frame;
+    constexpr std::uint32_t kIsn = 0xfffff000u;  // wraps mid-stream
+
+    for (TcpStreamReassembler* r : {&borrowed, &pooled, &lent}) {
+      r->on_segment(SimTime::from_seconds(0), kIsn, true, false, {}, 0,
+                    PayloadHold{}, items);
+    }
+    for (std::size_t i = 0; i < segments.size(); ++i) {
+      const std::string context =
+          "seed " + std::to_string(seed) + " segment " + std::to_string(i);
+      const SimTime at = SimTime::from_seconds(1.0 + 0.001 * static_cast<double>(i));
+      const auto sequence = static_cast<std::uint32_t>(kIsn + 1 + segments[i].offset);
+
+      borrowed.on_segment(at, sequence, false, false,
+                          frame_of(segments[i], stable_frames[i]), 0,
+                          PayloadHold{true, nullptr, nullptr}, items);
+      collect(items, nullptr, borrowed_out);
+
+      pooled.on_segment(at, sequence, false, false,
+                        frame_of(segments[i], pooled_frame), 0,
+                        PayloadHold{false, &pool_spares, nullptr}, items);
+      collect(items, &pool_spares, pooled_out);
+      std::fill(pooled_frame.begin(), pooled_frame.end(), 0xee);
+
+      const util::BytesView payload = frame_of(segments[i], lend_frame);
+      const std::size_t frame_size = lend_frame.size();
+      const std::uint64_t lent_before = lend_spares.lent();
+      const std::uint64_t copied_before = lend_spares.copied();
+      lent.on_segment(at, sequence, false, false, payload, 0,
+                      PayloadHold{false, &lend_spares, &lend_frame}, items);
+      const std::uint64_t segment_lends = lend_spares.lent() - lent_before;
+      ASSERT_LE(segment_lends, 1u) << context;
+      if (segment_lends == 1) {
+        EXPECT_GE(lend_frame.capacity(), frame_size) << context;
+        if (lend_spares.copied() > copied_before) ++split_lends;
+      }
+      collect(items, &lend_spares, lent_out);
+      lend_frame.assign(lend_frame.capacity(), 0xee);  // the pump's next read
+    }
+    const SimTime end = SimTime::from_seconds(99);
+    borrowed.flush(end, items);
+    collect(items, nullptr, borrowed_out);
+    pooled.flush(end, items);
+    collect(items, &pool_spares, pooled_out);
+    lent.flush(end, items);
+    collect(items, &lend_spares, lent_out);
+
+    const std::string context = "seed " + std::to_string(seed);
+    ASSERT_FALSE(borrowed_out.empty()) << context;
+    EXPECT_EQ(pooled_out, borrowed_out) << context;
+    EXPECT_EQ(lent_out, borrowed_out) << context;
+    EXPECT_EQ(pool_spares.lent(), 0u) << context;
+    EXPECT_GT(pool_spares.copied(), 0u) << context;
+    lends += lend_spares.lent();
+  }
+  EXPECT_GT(lends, 0u);
+  EXPECT_GT(split_lends, 0u);
+}
+
 // --- Loss tolerance: gaps, reorder windows, timestamps ---------------
 
 TEST(Reassembly, ReorderedChunkKeepsFirstArrivalTimestamp) {
@@ -390,8 +546,8 @@ TEST(Reassembly, RstFlushesBufferedDataAndFinishesStreams) {
   std::size_t gaps = 0;
   for (const auto& directed : items) {
     if (directed.item.kind == StreamItem::Kind::kChunk) {
-      delivered.append(directed.item.chunk.data.begin(),
-                       directed.item.chunk.data.end());
+      const util::BytesView bytes = directed.item.chunk.bytes();
+      delivered.append(bytes.begin(), bytes.end());
     } else {
       ++gaps;
     }

@@ -110,8 +110,8 @@ class RecordStreamTest : public ::testing::Test {
   std::vector<net::Packet> build_connection(
       std::vector<std::size_t> client_sizes,
       std::vector<std::size_t> server_sizes, std::uint16_t client_port = 51000,
-      bool close = true) {
-    TlsSession session(firefox_config(), util::Rng(9));
+      bool close = true, const TlsSessionConfig& tls = firefox_config()) {
+    TlsSession session(tls, util::Rng(9));
     net::TcpEndpointConfig client;
     client.mac = *net::MacAddress::parse("02:00:00:00:00:01");
     client.ip = net::Ipv4Address(10, 0, 0, 2);
@@ -397,6 +397,54 @@ TEST(RecordStreamExtractor, ClosedFlowsRetireAtTeardown) {
   EXPECT_EQ(stripped.flows_closed(), 0u);
   EXPECT_EQ(events.size(), workload.sessions * stripped_events.size());
   EXPECT_TRUE(extractor.flush().empty());
+}
+
+TEST_F(RecordStreamTest, ReusedFourTupleReportsEachConnectionsSni) {
+  // Two FIN-closed connections on one 4-tuple with different SNIs, fed
+  // in one batch. Each retires at its close, and the retirement report
+  // carries that connection's own SNI and where its events end in the
+  // call's output: a consumer keeping per-flow state beside the
+  // extractor (the engine's collector keys and SNI cache) drops it in
+  // event order, so the second connection never inherits the first's.
+  TlsSessionConfig other = firefox_config();
+  other.sni = "assets.nflxext.com";
+  std::vector<net::Packet> packets = build_connection({400}, {900});
+  for (net::Packet& packet :
+       build_connection({400}, {900}, 51000, /*close=*/true, other)) {
+    packet.timestamp += Duration::seconds(5);
+    packets.push_back(std::move(packet));
+  }
+
+  RecordStreamExtractor::Config config;
+  config.retain_events = false;
+  config.report_retired = true;
+  RecordStreamExtractor extractor(config);
+  std::vector<StreamEvent> events;
+  extractor.feed_batch(packets.data(), packets.size(), events);
+  EXPECT_EQ(extractor.flows_closed(), 2u);
+  const std::vector<RecordStreamExtractor::RetiredFlow>& retired =
+      extractor.retired();
+  ASSERT_EQ(retired.size(), 2u);
+  EXPECT_EQ(retired[0].flow, retired[1].flow);
+  EXPECT_EQ(retired[0].sni, firefox_config().sni);
+  EXPECT_EQ(retired[1].sni, other.sni);
+  ASSERT_LT(retired[0].events_before, retired[1].events_before);
+  EXPECT_EQ(retired[1].events_before, events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    ASSERT_EQ(events[i].kind, StreamEvent::Kind::kRecord);
+    EXPECT_EQ(events[i].event.timestamp < SimTime::from_seconds(5),
+              i < retired[0].events_before)
+        << "event " << i;
+  }
+  extractor.clear_retired();
+  EXPECT_TRUE(extractor.retired().empty());
+
+  // Off by default: an extractor nobody asked records nothing.
+  RecordStreamExtractor quiet;
+  events.clear();
+  quiet.feed_batch(packets.data(), packets.size(), events);
+  EXPECT_EQ(quiet.flows_closed(), 2u);
+  EXPECT_TRUE(quiet.retired().empty());
 }
 
 TEST_F(RecordStreamTest, ReusedFourTupleAfterLostFinalAckOpensANewFlow) {
