@@ -99,7 +99,6 @@ int main(int argc, char** argv) {
   cli.add_string("calibrate", "comma-separated trace.pcap:truth.json pairs", "");
   cli.add_string("target", "pcap to attack", "");
   cli.add_string("classifier", "interval | knn | gaussian-nb", "interval");
-  cli.add_int("shards", "engine worker threads (0 = inline)", 0);
   cli.add_bool("metrics", "print the wm::obs stage report after the attack");
   try {
     if (!cli.parse(argc, argv)) return 0;
@@ -120,7 +119,7 @@ int main(int argc, char** argv) {
 
     core::AttackPipeline attack(cli.get_string("classifier"));
     // Observability: with --metrics every stage (calibration, capture
-    // source, per-shard extraction, collector, decode) reports into a
+    // source, extraction, observation logs, decode) reports into a
     // registry and the run ends with the stage report. Without it, the
     // null registry costs nothing.
     obs::Registry registry;
@@ -134,13 +133,10 @@ int main(int argc, char** argv) {
     std::printf("calibrated '%s' classifier on %zu session(s)\n",
                 cli.get_string("classifier").c_str(), calibration.size());
 
-    core::InferOptions options;
-    options.shards = static_cast<std::size_t>(cli.get_int("shards"));
-
     // The typed-error path: open/parse failures come back as a
     // wm::Result instead of an exception, so an operational tool can
     // distinguish "file missing" from "not a capture" from "corrupt".
-    const auto result = attack.infer_capture(target, options);
+    const auto result = attack.infer_capture(target);
     if (!result.ok()) {
       std::fprintf(stderr, "cannot analyse %s: %s\n", target.c_str(),
                    result.error().to_string().c_str());

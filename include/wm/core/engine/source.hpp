@@ -29,8 +29,8 @@
 
 namespace wm::engine {
 
-/// A reusable batch of packets — the unit the batched source API and
-/// the engine's shard rings move around. Three modes:
+/// A reusable batch of packets — the unit the batched source API
+/// hands out. Three modes:
 ///  - owned: packets live in recycled slots. clear() keeps every
 ///    slot's heap buffer, so a steady-state refill writes into
 ///    already-sized storage and never mallocs;
@@ -42,7 +42,7 @@ namespace wm::engine {
 ///    borrowing frame bytes from a producer's backing store. This is
 ///    the read_views() hand-off; the PacketSource contract there makes
 ///    the backing bytes stable for the source's whole lifetime, so
-///    view batches can sit in queues and feed zero-copy reassembly.
+///    view batches can feed zero-copy reassembly.
 class PacketBatch {
  public:
   PacketBatch() = default;
@@ -191,8 +191,7 @@ class PacketSource {
   /// for the *remaining lifetime of the source*. Only sources whose
   /// backing store is naturally immortal implement it — an in-memory
   /// vector, an mmap'd capture file — which is exactly what lets the
-  /// engine queue view batches and reassemble TCP streams without ever
-  /// copying a frame.
+  /// engine reassemble TCP streams without ever copying a frame.
   [[nodiscard]] virtual std::size_t read_views(PacketBatch& out, std::size_t max) {
     (void)out;
     (void)max;

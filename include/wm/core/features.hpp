@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,12 +25,19 @@ inline constexpr std::size_t kRecordClassCount = 3;
 struct ClientRecordObservation {
   util::SimTime timestamp;
   std::uint16_t record_length = 0;
-  std::optional<std::string> flow_sni;  // flow's SNI if the hello was seen
   /// The record was the first parsed after a reassembly gap or TLS
   /// resync: its length is trustworthy but bytes before it were lost,
   /// so inferences anchored on it deserve less confidence.
   bool after_gap = false;
 };
+
+/// The one observation order every decode path sorts in: time, then
+/// record length, then the after_gap flag (false first), because two
+/// records equal in time and length still decode differently when one
+/// carries the gap taint. It makes the decode independent of the order
+/// flows delivered their records.
+bool observation_before(const ClientRecordObservation& a,
+                        const ClientRecordObservation& b);
 
 /// A labelled observation (calibration data).
 struct LabeledObservation {
@@ -40,7 +46,8 @@ struct LabeledObservation {
 };
 
 /// Pull every client->server application-data record out of a set of
-/// record streams, time-ordered. This is the attacker's feature view.
+/// record streams, in observation_before order. This is the attacker's
+/// feature view.
 std::vector<ClientRecordObservation> extract_client_records(
     const std::vector<tls::FlowRecordStream>& streams);
 

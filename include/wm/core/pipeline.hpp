@@ -8,9 +8,9 @@
 //     InferReport infer(engine::PacketSource&, const InferOptions&)
 //
 // whose options carry every knob that used to multiply overloads:
-// per-client splitting, story-graph path reconstruction, shard count
-// for the streaming engine and flow eviction. Live per-viewer events
-// come from wm::monitor::ContinuousMonitor / MonitorFleet instead.
+// per-client splitting, story-graph path reconstruction and flow
+// eviction. Live per-viewer events come from
+// wm::monitor::ContinuousMonitor / MonitorFleet instead.
 // File-based inference goes through infer_capture(), which reports
 // typed errors. The historic vector/path convenience overloads are
 // gone; wrap a vector in engine::VectorSource and set
@@ -43,8 +43,12 @@ struct CalibrationSession {
 /// Every inference knob in one place, so new capabilities extend this
 /// struct instead of adding overloads.
 struct InferOptions {
-  /// Worker threads for the streaming engine. 0 = run inline on the
-  /// calling thread (exact batch semantics, no threads).
+  /// Must be 0: infer() runs on the calling thread, and any other value
+  /// throws std::invalid_argument before the source is read. The field
+  /// remains so callers that set it to 0 (perfbench's dataset_scoring
+  /// among them) keep compiling. Multi-core analysis is
+  /// monitor::MonitorFleet fed from a pull source, whose per-viewer
+  /// answers equal infer()'s per_client ones.
   std::size_t shards = 0;
   /// Also decode each viewer (client endpoint) separately; fills
   /// InferReport::per_client with viewers that produced questions.
@@ -61,9 +65,9 @@ struct InferOptions {
   /// memory on heavily impaired taps.
   net::TcpStreamReassembler::Config reassembly;
   /// Observability (wm::obs): registry every stage reports into —
-  /// pipeline decode totals, engine per-shard/rollup counters, capture
-  /// source counters, stage timings. Null (the default) means no
-  /// instrumentation and no overhead. Overrides the registry installed
+  /// pipeline decode totals, engine counters, capture source counters,
+  /// stage timings. Null (the default) means no instrumentation and no
+  /// overhead. Overrides the registry installed
   /// with AttackPipeline::set_metrics() for this run.
   obs::Registry* metrics = nullptr;
 };
@@ -102,17 +106,18 @@ class AttackPipeline {
   void set_metrics(obs::Registry* metrics) { metrics_ = metrics; }
   [[nodiscard]] obs::Registry* metrics() const { return metrics_; }
 
-  /// Run inference on a packet stream. The source is consumed; with
-  /// options.shards > 0 analysis is parallelized across worker threads
-  /// and produces output byte-identical to the inline run. Never
-  /// throws for stream problems: a source that ends in error still
-  /// yields whatever decoded before it, with stats.source_errors set.
+  /// Run inference on a packet stream, on the calling thread. The
+  /// source is consumed. Throws std::invalid_argument for a nonzero
+  /// options.shards; never throws for stream problems: a source that
+  /// ends in error still yields whatever decoded before it, with
+  /// stats.source_errors set.
   [[nodiscard]] InferReport infer(engine::PacketSource& source,
                                   const InferOptions& options = {}) const;
 
   /// Open a capture file (classic pcap or pcapng) and infer. Failures
   /// — missing file, unknown format, corrupt contents — come back as
-  /// typed errors instead of exceptions.
+  /// typed errors instead of exceptions; a nonzero options.shards
+  /// throws std::invalid_argument, as in infer().
   [[nodiscard]] Result<InferReport> infer_capture(
       const std::filesystem::path& path, const InferOptions& options = {}) const;
 

@@ -152,15 +152,10 @@ class FlowTable {
 /// Direction-symmetric 64-bit hash of a raw frame's 5-tuple, parsed
 /// straight from the wire bytes (Ethernet → IPv4/IPv6 → TCP/UDP)
 /// without building a DecodedPacket. Both directions of a flow hash
-/// identically, so a dispatcher can shard packets across workers while
-/// each worker still sees every packet of the flows it owns. Returns
-/// nullopt for frames with no TCP/UDP transport.
+/// identically, so packets partitioned by it keep every flow whole
+/// (viewer_shard_hash falls back to it). Returns nullopt for frames
+/// with no TCP/UDP transport.
 std::optional<std::uint64_t> flow_shard_hash(const Packet& packet);
-
-/// Same hash computed straight from a raw frame span — the form the
-/// zero-copy dispatch path uses, where a packet exists only as a
-/// PacketView over a source's backing store.
-std::optional<std::uint64_t> flow_shard_hash(util::BytesView frame);
 
 /// Direction-symmetric 64-bit hash of an endpoint pair — the same
 /// value `flow_shard_hash` computes from the raw frame, but starting

@@ -26,11 +26,11 @@ namespace wm::obs {
 /// Snapshot the metric lands in, and therefore which determinism
 /// guarantee tests may assert on it.
 enum class Stability : std::uint8_t {
-  /// Identical for a fixed input: across repeated runs, across engine
-  /// shard counts, threaded or inline. Byte-stable in snapshots.
+  /// Identical for a fixed input: across repeated runs and across fleet
+  /// shard counts. Byte-stable in snapshots.
   kStable,
-  /// Deterministic for a fixed (input, engine configuration) pair but
-  /// varies with the shard count (per-shard breakdowns, batch counts).
+  /// Deterministic for a fixed (input, configuration) pair but varies
+  /// with the shard count (per-shard breakdowns, sweep-cadence totals).
   kSharded,
   /// Run-dependent: scheduling or wall-clock artefacts (backpressure
   /// waits, queue peaks). Never asserted byte-identical.

@@ -1,17 +1,17 @@
 // wm::obs — the observability registry.
 //
 // A Registry owns named counters, histograms and timing spans with
-// hierarchical dotted names ("engine.shard[2].flows.evicted"). Modules
+// hierarchical dotted names ("monitor.shard[2].viewers.opened"). Modules
 // resolve their metric pointers once, at construction, and then touch
 // only the atomics on the hot path; registration is mutex-protected
 // but rare. A metric name registered twice returns the same object, so
 // independent components may share an aggregate counter.
 //
-// Rollups: a per-shard counter may declare a rollup name ("engine.
-// flows.opened"); snapshot() publishes the rollup as the sum of its
+// Rollups: a per-shard counter may declare a rollup name ("monitor.
+// viewers.opened"); snapshot() publishes the rollup as the sum of its
 // members. A sum over per-shard counters of a per-flow quantity is
 // shard-count-invariant, which is how the snapshot's *stable* section
-// stays byte-identical across 1/2/4/8-shard runs of the same capture.
+// stays byte-identical across fleet shard counts for the same capture.
 //
 // Snapshots segregate metrics by Stability (see metrics.hpp) and keep
 // timing in its own section, so `stable` / `deterministic` exports are
@@ -37,7 +37,7 @@ struct Snapshot {
   /// Stability::kStable counters and histogram buckets, plus rollups
   /// declared stable. Byte-identical across runs and shard counts.
   std::map<std::string, std::uint64_t> stable;
-  /// Stability::kSharded metrics: deterministic for a fixed engine
+  /// Stability::kSharded metrics: deterministic for a fixed
   /// configuration, different across shard counts.
   std::map<std::string, std::uint64_t> sharded;
   /// Stability::kVolatile counters (backpressure waits and friends).
@@ -51,7 +51,7 @@ struct Snapshot {
   std::map<std::string, Timing> timings;
 
   /// The stable section as canonical compact JSON (sorted keys).
-  /// Byte-identical across runs and across engine shard counts for the
+  /// Byte-identical across runs and across fleet shard counts for the
   /// same input — the assertable artefact of the differential and
   /// golden-trace suites.
   [[nodiscard]] std::string stable_json() const;

@@ -85,10 +85,11 @@ struct StreamEvent {
 ///
 ///  * Batch: feed_batch() every packet (extract_record_streams() does
 ///    so in slab runs), then finish() for one FlowRecordStream per flow.
-///  * Resumable (the engine's hot path): feed() returns the records
-///    each packet completed, so analysis proceeds as traffic arrives.
-///    With Config::retain_events=false and an idle timeout set, memory
-///    stays bounded by the number of *live* flows, not capture length.
+///  * Resumable (the engine and the monitors): feed_batch()/feed_lens()
+///    return the records each packet completed, so analysis proceeds
+///    as traffic arrives. With Config::retain_events=false and an idle
+///    timeout set, memory stays bounded by the number of *live* flows,
+///    not capture length.
 ///
 /// A flow retires (parsers flushed, state freed) at TCP teardown: on
 /// an RST, or when the active closer ACKs the peer's FIN after both
@@ -109,7 +110,7 @@ class RecordStreamExtractor {
     /// "<scope>.flows.evicted", ...) with `metrics_stability`. A
     /// non-empty `metrics_rollup` additionally publishes each metric
     /// into "<rollup><suffix>" rollups summed across extractors — how
-    /// the engine's per-shard extractors produce shard-count-invariant
+    /// a fleet's per-shard extractors produce shard-count-invariant
     /// totals. Null registry = zero instrumentation cost.
     obs::Registry* registry = nullptr;
     std::string metrics_scope = "tls";
@@ -118,22 +119,6 @@ class RecordStreamExtractor {
     /// Per-direction reassembly tuning (reorder window, buffer budget)
     /// applied to every flow's TcpConnectionReassembler.
     net::TcpStreamReassembler::Config reassembly;
-    /// Record every flow retirement in retired(), for a consumer that
-    /// keeps per-flow state of its own and must drop it with the flow.
-    /// Off = nothing recorded.
-    bool report_retired = false;
-  };
-
-  /// A flow whose state the extractor retired: at TCP teardown, in
-  /// flush(), or by idle eviction.
-  struct RetiredFlow {
-    net::FlowKey flow;
-    /// The retired connection's SNI, if its ClientHello was parsed.
-    std::optional<std::string> sni;
-    /// Size of the call's `out` when the flow retired. The flow's events
-    /// below this index came from the retired connection; any at or
-    /// above it belong to a new connection on the same 4-tuple.
-    std::size_t events_before = 0;
   };
 
   RecordStreamExtractor() : RecordStreamExtractor(Config{}) {}
@@ -233,12 +218,6 @@ class RecordStreamExtractor {
   /// borrowed holds of stable payloads count in neither).
   [[nodiscard]] std::uint64_t holds_lent() const { return holds_.lent(); }
   [[nodiscard]] std::uint64_t holds_copied() const { return holds_.copied(); }
-  /// Flows retired since the last clear_retired(), in retirement order.
-  /// Always empty unless Config::report_retired.
-  [[nodiscard]] const std::vector<RetiredFlow>& retired() const {
-    return retired_;
-  }
-  void clear_retired() { retired_.clear(); }
   /// Sum of live out-of-order reassembly buffers across active flows.
   [[nodiscard]] std::size_t buffered_reassembly_bytes() const;
   /// Heap bytes of flow state: map nodes (the arena's live bytes), the
@@ -282,8 +261,8 @@ class RecordStreamExtractor {
   };
 
   /// Flow-state authority, ordered by key so eviction sweeps and
-  /// flush() walk flows in FlowKey order (the shard-invariant order the
-  /// differential tests pin). Nodes come from the extractor's arena.
+  /// flush() walk flows in FlowKey order (the order the differential
+  /// tests pin). Nodes come from the extractor's arena.
   using FlowMap =
       std::map<net::FlowKey, PerFlow, std::less<net::FlowKey>,
                util::ArenaAllocator<std::pair<const net::FlowKey, PerFlow>>>;
@@ -323,15 +302,12 @@ class RecordStreamExtractor {
                               net::FlowDirection& direction);
   FlowMap::iterator insert_flow(std::uint64_t hash, const net::FlowKey& key);
   /// Tombstone the index slot, recycle the PerFlow into the pool, and
-  /// erase the map node; with Config::report_retired, record it in
-  /// retired_ at `events_before`. Returns the iterator past the erased
-  /// entry.
-  FlowMap::iterator erase_flow(FlowMap::iterator it, std::size_t events_before);
+  /// erase the map node. Returns the iterator past the erased entry.
+  FlowMap::iterator erase_flow(FlowMap::iterator it);
   void index_insert(std::uint64_t hash, FlowMap::iterator it);
   void index_grow();
 
-  /// `events_before`: the size of the calling feed's `out`.
-  void evict_idle(util::SimTime now, std::size_t events_before);
+  void evict_idle(util::SimTime now);
   FlowRecordStream snapshot(const net::FlowKey& key, const PerFlow& state) const;
   /// Route reassembler output (chunks and gaps) through the right TLS
   /// parser and append the resulting StreamEvents to `out`. Owned chunk
@@ -395,7 +371,6 @@ class RecordStreamExtractor {
   /// flow, refilled from delivered chunks, at most kSpareHolds
   /// (record_stream.cpp) of them.
   net::HoldBuffers holds_;
-  std::vector<RetiredFlow> retired_;
   /// Scratch reused across packets by the slow reassembly path.
   std::vector<net::TcpConnectionReassembler::DirectedItem> items_scratch_;
   /// Scratch for parser output (ParsedRecord views), reused per chunk.

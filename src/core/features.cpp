@@ -14,6 +14,13 @@ std::string to_string(RecordClass cls) {
   return "?";
 }
 
+bool observation_before(const ClientRecordObservation& a,
+                        const ClientRecordObservation& b) {
+  if (a.timestamp != b.timestamp) return a.timestamp < b.timestamp;
+  if (a.record_length != b.record_length) return a.record_length < b.record_length;
+  return !a.after_gap && b.after_gap;
+}
+
 std::vector<ClientRecordObservation> extract_client_records(
     const std::vector<tls::FlowRecordStream>& streams) {
   std::vector<ClientRecordObservation> out;
@@ -23,18 +30,11 @@ std::vector<ClientRecordObservation> extract_client_records(
       ClientRecordObservation obs;
       obs.timestamp = event.timestamp;
       obs.record_length = event.record_length;
-      obs.flow_sni = stream.sni;
-      out.push_back(std::move(obs));
+      obs.after_gap = event.after_gap;
+      out.push_back(obs);
     }
   }
-  // Record length breaks timestamp ties so the order (and therefore
-  // the decode) is deterministic and matches the streaming engine's
-  // collector, whose observations arrive in shard order.
-  std::sort(out.begin(), out.end(),
-            [](const ClientRecordObservation& a, const ClientRecordObservation& b) {
-              if (a.timestamp != b.timestamp) return a.timestamp < b.timestamp;
-              return a.record_length < b.record_length;
-            });
+  std::sort(out.begin(), out.end(), observation_before);
   return out;
 }
 

@@ -1,6 +1,20 @@
 #include "wm/core/pipeline.hpp"
 
+#include <stdexcept>
+
 namespace wm::core {
+
+namespace {
+
+void check_options(const InferOptions& options) {
+  if (options.shards != 0) {
+    throw std::invalid_argument(
+        "InferOptions::shards must be 0: inference runs on the calling "
+        "thread (use monitor::MonitorFleet for multi-core analysis)");
+  }
+}
+
+}  // namespace
 
 AttackPipeline::AttackPipeline(std::string classifier_name)
     : classifier_(make_classifier(classifier_name)) {}
@@ -30,12 +44,12 @@ bool AttackPipeline::calibrated() const { return classifier_->fitted(); }
 
 InferReport AttackPipeline::infer(engine::PacketSource& source,
                                   const InferOptions& options) const {
+  check_options(options);
   obs::Registry* registry =
       options.metrics != nullptr ? options.metrics : metrics_;
   const obs::StageTimer timer(registry, "pipeline.infer");
 
   engine::EngineConfig config;
-  config.shards = options.shards;
   config.flow_idle_timeout = options.flow_idle_timeout;
   config.reassembly = options.reassembly;
   config.metrics = registry;
@@ -86,6 +100,7 @@ InferReport AttackPipeline::infer(engine::PacketSource& source,
 
 Result<InferReport> AttackPipeline::infer_capture(
     const std::filesystem::path& path, const InferOptions& options) const {
+  check_options(options);
   auto source = engine::open_capture(
       path, options.metrics != nullptr ? options.metrics : metrics_);
   if (!source.ok()) return source.error();

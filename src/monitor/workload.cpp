@@ -110,7 +110,6 @@ std::vector<core::LabeledObservation> workload_calibration(
       core::LabeledObservation item;
       item.observation.timestamp = when;
       item.observation.record_length = record.length();
-      item.observation.flow_sni = session.config().sni;
       item.label = label;
       calibration.push_back(std::move(item));
       when += util::Duration::millis(10);

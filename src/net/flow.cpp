@@ -255,11 +255,7 @@ std::uint64_t endpoint_pair_hash(const Endpoint& a, const Endpoint& b,
 }
 
 std::optional<std::uint64_t> flow_shard_hash(const Packet& packet) {
-  return flow_shard_hash(util::BytesView(packet.data));
-}
-
-std::optional<std::uint64_t> flow_shard_hash(util::BytesView frame) {
-  const auto tuple = parse_raw_tuple(frame);
+  const auto tuple = parse_raw_tuple(util::BytesView(packet.data));
   if (!tuple) return std::nullopt;
   // Endpoint hash = fnv(address bytes, then port bytes); combining the
   // two endpoints commutatively makes the result direction-symmetric.

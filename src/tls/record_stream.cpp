@@ -117,7 +117,7 @@ std::vector<StreamEvent> RecordStreamExtractor::feed(const net::Packet& packet) 
            decoded->transport_payload_missing, net::PayloadHold{false, &holds_},
            out);
   if (config_.idle_timeout != util::Duration{}) {
-    evict_idle(packet.timestamp, out.size());
+    evict_idle(packet.timestamp);
   }
   return out;
 }
@@ -177,7 +177,7 @@ void RecordStreamExtractor::feed_frame(util::SimTime timestamp,
            frame.subspan(lens.payload_offset, lens.payload_length),
            lens.truncated_bytes,
            net::PayloadHold{stable_payload, &holds_, lendable}, out);
-  if (config_.idle_timeout != util::Duration{}) evict_idle(timestamp, out.size());
+  if (config_.idle_timeout != util::Duration{}) evict_idle(timestamp);
 }
 
 void RecordStreamExtractor::feed_batch(const net::Packet* packets,
@@ -377,10 +377,7 @@ RecordStreamExtractor::FlowMap::iterator RecordStreamExtractor::insert_flow(
 }
 
 RecordStreamExtractor::FlowMap::iterator RecordStreamExtractor::erase_flow(
-    FlowMap::iterator it, std::size_t events_before) {
-  if (config_.report_retired) {
-    retired_.push_back(RetiredFlow{it->first, it->second.sni, events_before});
-  }
+    FlowMap::iterator it) {
   if (!index_.empty()) {
     const std::uint64_t hash = it->second.index_hash;
     const std::size_t mask = index_.size() - 1;
@@ -567,7 +564,7 @@ void RecordStreamExtractor::complete_flow(FlowMap::iterator it,
   parsed_scratch_.clear();
   sync_tls_counters(state);
   if (config_.retain_events) completed_.push_back(snapshot(key, state));
-  erase_flow(it, out.size());
+  erase_flow(it);
   ++flows_completed_;
 }
 
@@ -588,12 +585,11 @@ std::size_t RecordStreamExtractor::sweep_idle(util::SimTime now) {
   const std::uint64_t before = flows_evicted_;
   // Reset the cadence gate: a timer-driven sweep is authoritative.
   sweep_armed_ = false;
-  evict_idle(now, 0);
+  evict_idle(now);
   return static_cast<std::size_t>(flows_evicted_ - before);
 }
 
-void RecordStreamExtractor::evict_idle(util::SimTime now,
-                                       std::size_t events_before) {
+void RecordStreamExtractor::evict_idle(util::SimTime now) {
   // Sweep at a fraction of the timeout so the scan cost amortizes to
   // O(1) per packet while flows still leave within ~1.25x the timeout.
   const util::Duration cadence =
@@ -609,7 +605,7 @@ void RecordStreamExtractor::evict_idle(util::SimTime now,
       if (config_.retain_events) {
         completed_.push_back(snapshot(it->first, it->second));
       }
-      it = erase_flow(it, events_before);
+      it = erase_flow(it);
       ++evicted;
     } else {
       ++it;

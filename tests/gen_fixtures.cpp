@@ -79,10 +79,8 @@ int main(int argc, char** argv) {
       wm::net::write_pcap(capture_path, packets);
     }
 
-    // Decode exactly as the replay test will: from the file, inline
-    // engine, instrumented. The stable section is shard-invariant, so
-    // the inline run's snapshot is the expectation for every shard
-    // count.
+    // Decode exactly as the replay test will: from the file,
+    // instrumented.
     wm::obs::Registry registry;
     wm::core::InferOptions options;
     options.per_client = true;

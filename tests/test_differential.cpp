@@ -1,13 +1,14 @@
-// Differential suite: across seeds × capture impairments, the sharded
-// streaming engine must reproduce the batch pipeline's decode exactly
-// for every shard count — and the wm::obs *stable* counter snapshot
-// must be byte-identical too. The stable section is the contract: it
-// holds only per-flow/per-record quantities (and their shard rollups),
-// so 1, 2, 4 and 8 workers chewing the same impaired capture must
-// export the same bytes the inline batch run does.
+// Differential suite: across seeds × capture impairments, the engine's
+// two read paths — stable views borrowed from the source, and owned
+// packets copied out of it — must decode identically, and the wm::obs
+// *stable* counter snapshot must be byte-identical too. The stable
+// section is the contract: it holds only per-flow/per-record
+// quantities, so however the bytes reach the extractor, the same
+// impaired capture must export the same bytes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -73,6 +74,22 @@ std::vector<net::Packet> merged_capture(const story::StoryGraph& graph,
   return merged;
 }
 
+/// Serves a packet vector through next() alone, so the engine takes its
+/// owned-packet read_batch() path instead of borrowing stable views.
+class CopyingSource final : public engine::PacketSource {
+ public:
+  explicit CopyingSource(const std::vector<net::Packet>& packets)
+      : packets_(packets) {}
+  std::optional<net::Packet> next() override {
+    if (index_ == packets_.size()) return std::nullopt;
+    return packets_[index_++];
+  }
+
+ private:
+  const std::vector<net::Packet>& packets_;
+  std::size_t index_ = 0;
+};
+
 struct Scenario {
   std::string name;
   std::vector<net::Packet> packets;
@@ -129,50 +146,43 @@ void expect_sessions_identical(const InferredSession& a,
   EXPECT_EQ(a.other_records, b.other_records) << context;
 }
 
-TEST(Differential, EngineMatchesBatchAcrossSeedsImpairmentsAndShardCounts) {
+TEST(Differential, EngineReadPathsAgreeAcrossSeedsAndImpairments) {
   const story::StoryGraph graph = story::make_bandersnatch();
   const AttackPipeline pipeline = calibrated_pipeline(graph);
 
   for (const std::uint64_t seed : {std::uint64_t{7501}, std::uint64_t{7520}}) {
     const std::vector<net::Packet> base = merged_capture(graph, 2, seed);
     for (const Scenario& scenario : impaired_variants(base, seed)) {
-      // Batch reference: inline run, instrumented.
-      obs::Registry batch_registry;
-      engine::VectorSource batch_source(&scenario.packets);
-      InferOptions batch_options;
-      batch_options.shards = 0;
-      batch_options.per_client = true;
-      batch_options.metrics = &batch_registry;
-      const InferReport batch = pipeline.infer(batch_source, batch_options);
-      const std::string batch_stable = batch_registry.snapshot().stable_json();
-      ASSERT_FALSE(batch_stable.empty());
+      const std::string context =
+          "seed=" + std::to_string(seed) + " " + scenario.name;
+      InferOptions options;
+      options.per_client = true;
 
-      for (const std::size_t shards :
-           {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-        const std::string context = "seed=" + std::to_string(seed) + " " +
-                                    scenario.name +
-                                    " shards=" + std::to_string(shards);
-        obs::Registry registry;
-        engine::VectorSource source(&scenario.packets);
-        InferOptions options;
-        options.shards = shards;
-        options.per_client = true;
-        options.metrics = &registry;
-        const InferReport report = pipeline.infer(source, options);
+      // Reference: stable views over the vector (zero-copy reassembly).
+      obs::Registry view_registry;
+      engine::VectorSource view_source(&scenario.packets);
+      options.metrics = &view_registry;
+      const InferReport views = pipeline.infer(view_source, options);
+      const std::string view_stable = view_registry.snapshot().stable_json();
+      ASSERT_FALSE(view_stable.empty());
 
-        // Identical decode: combined and per-viewer.
-        expect_sessions_identical(report.combined, batch.combined, context);
-        ASSERT_EQ(report.per_client.size(), batch.per_client.size()) << context;
-        for (const auto& [client, session] : batch.per_client) {
-          ASSERT_TRUE(report.per_client.count(client)) << context << " " << client;
-          expect_sessions_identical(report.per_client.at(client), session,
-                                    context + " client " + client);
-        }
+      obs::Registry registry;
+      CopyingSource source(scenario.packets);
+      options.metrics = &registry;
+      const InferReport report = pipeline.infer(source, options);
 
-        // Identical counters: the stable snapshot section is
-        // byte-for-byte the batch run's, timing excluded by design.
-        EXPECT_EQ(registry.snapshot().stable_json(), batch_stable) << context;
+      // Identical decode: combined and per-viewer.
+      expect_sessions_identical(report.combined, views.combined, context);
+      ASSERT_EQ(report.per_client.size(), views.per_client.size()) << context;
+      for (const auto& [client, session] : views.per_client) {
+        ASSERT_TRUE(report.per_client.count(client)) << context << " " << client;
+        expect_sessions_identical(report.per_client.at(client), session,
+                                  context + " client " + client);
       }
+
+      // Identical counters: the stable snapshot section is byte-for-byte
+      // the view run's, timing excluded by design.
+      EXPECT_EQ(registry.snapshot().stable_json(), view_stable) << context;
     }
   }
 }
@@ -260,15 +270,14 @@ TEST(Differential, StableSnapshotIsByteStableAcrossRepeatedRuns) {
   const AttackPipeline pipeline = calibrated_pipeline(graph);
   const std::vector<net::Packet> base = merged_capture(graph, 2, 7560);
 
-  // Same capture, same configuration, two independent threaded runs:
-  // stable AND sharded sections must export identical bytes (only the
+  // Same capture, same configuration, two independent runs: stable AND
+  // sharded sections must export identical bytes (only the
   // runtime/timing sections may differ between runs).
   std::vector<std::string> deterministic_exports;
   for (int run = 0; run < 2; ++run) {
     obs::Registry registry;
     engine::VectorSource source(&base);
     InferOptions options;
-    options.shards = 4;
     options.per_client = true;
     options.metrics = &registry;
     (void)pipeline.infer(source, options);
@@ -288,7 +297,6 @@ TEST(Differential, StableSectionCoversEveryStage) {
   obs::Registry registry;
   engine::VectorSource source(&base);
   InferOptions options;
-  options.shards = 2;
   options.per_client = true;
   options.metrics = &registry;
   const InferReport report = pipeline.infer(source, options);
@@ -309,13 +317,6 @@ TEST(Differential, StableSectionCoversEveryStage) {
             snap.stable.at("engine.collector.type1") +
                 snap.stable.at("engine.collector.type2") +
                 snap.stable.at("engine.collector.other"));
-  // Sharded section carries the configuration-dependent breakdowns.
-  EXPECT_TRUE(snap.sharded.count("engine.shards_configured"));
-  EXPECT_TRUE(snap.sharded.count("engine.shard[0].packets"));
-  EXPECT_TRUE(snap.sharded.count("engine.shard[1].packets"));
-  EXPECT_EQ(snap.sharded.at("engine.shard[0].packets") +
-                snap.sharded.at("engine.shard[1].packets"),
-            snap.stable.at("engine.packets"));
 }
 
 }  // namespace

@@ -1,17 +1,16 @@
-// The streaming engine against the batch pipeline: sharded incremental
-// analysis must reproduce the whole-capture batch result exactly, for
-// any shard count, and must separate interleaved viewers, bound its
-// flow state under long replays, and report capture failures as typed
-// Results instead of exceptions.
+// The engine against the batch feature path: incremental analysis must
+// reproduce the whole-capture decode of extract_client_records exactly,
+// combined and per viewer, and must separate interleaved viewers, bound
+// its flow state under long replays, reject a nonzero shard count, and
+// report capture failures as typed Results instead of exceptions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "chunked_replay.hpp"
@@ -101,50 +100,60 @@ void expect_sessions_identical(const InferredSession& a, const InferredSession& 
   EXPECT_EQ(a.other_records, b.other_records) << context;
 }
 
-TEST(Engine, ShardedOutputIdenticalToBatchForEveryShardCount) {
+TEST(Engine, OutputIdenticalToBatchFeaturePath) {
   const story::StoryGraph graph = story::make_bandersnatch();
   const AttackPipeline pipeline = calibrated_pipeline(graph);
   const MergedCapture merged = make_merged_capture(graph, 3);
 
   // Golden reference: the primitive batch path (extract everything,
   // decode once), exactly what AttackPipeline::infer() historically did.
-  const InferredSession golden_combined = decode_choices(
-      pipeline.classifier(), extract_client_records(merged.packets));
+  const std::vector<tls::FlowRecordStream> streams =
+      tls::extract_record_streams(merged.packets);
+  const InferredSession golden_combined =
+      decode_choices(pipeline.classifier(), extract_client_records(streams));
 
-  // Per-viewer golden reference: the inline (shards=0) run; every other
-  // shard count must reproduce it exactly.
-  std::map<std::string, InferredSession> golden_per_client;
-  {
-    engine::VectorSource source(&merged.packets);
-    InferOptions options;
-    options.shards = 0;
-    options.per_client = true;
-    for (auto& [client, session] : pipeline.infer(source, options).per_client) {
-      golden_per_client.emplace(client, std::move(session));
-    }
+  // Per-viewer reference: the same batch path over each viewer's own
+  // flows.
+  std::map<std::string, std::vector<tls::FlowRecordStream>> by_client;
+  for (const tls::FlowRecordStream& stream : streams) {
+    by_client[stream.flow.client.v4.to_string()].push_back(stream);
   }
 
-  for (const std::size_t shards : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                                   std::size_t{3}, std::size_t{4}, std::size_t{8}}) {
-    engine::VectorSource source(&merged.packets);
-    InferOptions options;
-    options.shards = shards;
-    options.per_client = true;
-    const InferReport report = pipeline.infer(source, options);
+  engine::VectorSource source(&merged.packets);
+  InferOptions options;
+  options.per_client = true;
+  const InferReport report = pipeline.infer(source, options);
 
-    const std::string context = "shards=" + std::to_string(shards);
-    expect_sessions_identical(report.combined, golden_combined, context);
-    EXPECT_EQ(report.stats.packets_in, merged.packets.size()) << context;
-    EXPECT_EQ(report.per_client.size(), merged.clients.size()) << context;
-
-    // Per-viewer output must be identical to the inline per-client path.
-    ASSERT_EQ(report.per_client.size(), golden_per_client.size()) << context;
-    for (const auto& [client, session] : golden_per_client) {
-      ASSERT_TRUE(report.per_client.count(client)) << context << " " << client;
-      expect_sessions_identical(report.per_client.at(client), session,
-                                context + " client " + client);
-    }
+  expect_sessions_identical(report.combined, golden_combined, "combined");
+  EXPECT_EQ(report.stats.packets_in, merged.packets.size());
+  ASSERT_EQ(report.per_client.size(), merged.clients.size());
+  for (const std::string& client : merged.clients) {
+    ASSERT_TRUE(report.per_client.count(client)) << client;
+    ASSERT_TRUE(by_client.count(client)) << client;
+    expect_sessions_identical(
+        report.per_client.at(client),
+        decode_choices(pipeline.classifier(),
+                       extract_client_records(by_client.at(client))),
+        "client " + client);
   }
+}
+
+TEST(Engine, NonzeroShardCountIsRejectedBeforeTheSourceIsRead) {
+  const story::StoryGraph graph = story::make_bandersnatch();
+  const AttackPipeline pipeline = calibrated_pipeline(graph);
+  const MergedCapture merged = make_merged_capture(graph, 1);
+
+  engine::VectorSource source(&merged.packets);
+  InferOptions options;
+  options.shards = 2;
+  EXPECT_THROW((void)pipeline.infer(source, options), std::invalid_argument);
+  EXPECT_THROW((void)pipeline.infer_capture("/nonexistent/nowhere.pcap", options),
+               std::invalid_argument);
+
+  // The rejected call left the source untouched.
+  options.shards = 0;
+  EXPECT_EQ(pipeline.infer(source, options).stats.packets_in,
+            merged.packets.size());
 }
 
 TEST(Engine, InterleavedViewersSeparateCorrectly) {
@@ -154,7 +163,6 @@ TEST(Engine, InterleavedViewersSeparateCorrectly) {
 
   engine::VectorSource source(&merged.packets);
   InferOptions options;
-  options.shards = 4;
   options.per_client = true;
   const InferReport report = pipeline.infer(source, options);
 
@@ -168,54 +176,6 @@ TEST(Engine, InterleavedViewersSeparateCorrectly) {
   }
   EXPECT_EQ(report.stats.viewers_seen, 2u);
   EXPECT_GT(report.stats.type1_records, 0u);
-}
-
-/// Delegates to a fitted classifier but naps on every call: workers
-/// classify each client record, so they fall far behind the dispatcher.
-class SlowClassifier final : public RecordClassifier {
- public:
-  explicit SlowClassifier(const RecordClassifier& inner) : inner_(inner) {}
-  void fit(const std::vector<LabeledObservation>&) override {}
-  [[nodiscard]] RecordClass classify(std::uint16_t record_length) const override {
-    std::this_thread::sleep_for(std::chrono::microseconds(300));
-    return inner_.classify(record_length);
-  }
-  [[nodiscard]] std::string name() const override { return "slow"; }
-  [[nodiscard]] bool fitted() const override { return true; }
-
- private:
-  const RecordClassifier& inner_;
-};
-
-TEST(Engine, SlowConsumerBackpressureLosesNothing) {
-  // A deliberately starved configuration: tiny rings, tiny batches, and
-  // a classifier that naps on every record so the workers fall far
-  // behind the dispatcher. The dispatcher must park at queue_capacity
-  // (counted as backpressure), and despite all that blocking the result
-  // must be byte-identical to the batch decode — no batch lost or
-  // reordered.
-  const story::StoryGraph graph = story::make_bandersnatch();
-  const AttackPipeline pipeline = calibrated_pipeline(graph);
-  const MergedCapture merged = make_merged_capture(graph, 2);
-
-  const InferredSession golden_combined = decode_choices(
-      pipeline.classifier(), extract_client_records(merged.packets));
-
-  engine::EngineConfig config;
-  config.shards = 2;
-  config.dispatch_batch = 8;
-  config.queue_capacity = 1;  // rounds up to the 2-slot ring minimum
-  const SlowClassifier slow(pipeline.classifier());
-  engine::ShardedFlowEngine engine(slow, config);
-  engine::VectorSource source(&merged.packets);
-  EXPECT_EQ(engine.consume(source), merged.packets.size());
-  const engine::EngineResult result = engine.finish();
-
-  expect_sessions_identical(result.combined, golden_combined, "slow consumer");
-  EXPECT_EQ(result.stats.packets_in, merged.packets.size());
-  EXPECT_GT(result.stats.backpressure_waits, 0u);
-  EXPECT_GE(result.stats.batches_dispatched,
-            merged.packets.size() / (config.dispatch_batch * 2));
 }
 
 TEST(Engine, LongReplayEvictsIdleFlowsAndStaysBounded) {
@@ -249,7 +209,6 @@ TEST(Engine, LongReplayEvictsIdleFlowsAndStaysBounded) {
   test::ChunkedReplaySource replay(stripped, replay_config);
 
   InferOptions options;
-  options.shards = 2;
   options.per_client = true;
   options.flow_idle_timeout = session_length;
   const InferReport report = pipeline.infer(replay, options);
@@ -300,35 +259,6 @@ TEST(Engine, LongReplayEvictsIdleFlowsAndStaysBounded) {
   EXPECT_EQ(closed.stats.flows_opened, report.stats.flows_opened);
   EXPECT_EQ(closed.stats.flows_evicted, 0u);
   EXPECT_LE(closed.stats.peak_active_flows, flows_per_lap * 2);
-
-  // The engine's per-flow entries (collector key, cached SNI) leave
-  // with their flows. Fed lap by lap through an inline engine: with the
-  // teardown left in, none is left after any lap; without it, idle
-  // eviction bounds them as it bounds the flows. finish() leaves none.
-  for (const bool teardown : {true, false}) {
-    const std::string context = teardown ? "closing replay" : "stripped replay";
-    test::ChunkedReplaySource lapped(teardown ? base.capture.packets : stripped,
-                                     replay_config);
-    std::vector<std::vector<net::Packet>> laps(kLaps);
-    while (auto packet = lapped.next()) {
-      laps[lapped.laps_completed()].push_back(std::move(*packet));
-    }
-    engine::EngineConfig engine_config;
-    engine_config.flow_idle_timeout = session_length;
-    engine::ShardedFlowEngine engine(pipeline.classifier(), engine_config);
-    for (std::size_t lap = 0; lap < kLaps; ++lap) {
-      engine::VectorSource lap_source(&laps[lap]);
-      engine.consume(lap_source);
-      if (teardown) {
-        EXPECT_EQ(engine.flow_entries(), 0u) << context << " lap " << lap;
-      } else {
-        EXPECT_LE(engine.flow_entries(), flows_per_lap * 4)
-            << context << " lap " << lap;
-      }
-    }
-    (void)engine.finish();
-    EXPECT_EQ(engine.flow_entries(), 0u) << context;
-  }
 }
 
 TEST(Engine, ReplayWithoutRewriteKeepsOneViewer) {

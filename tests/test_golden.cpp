@@ -1,10 +1,10 @@
 // Golden-trace replay: every committed fixture capture must decode to
 // its committed .expected.json — same choice sequence, same record
-// tallies, and a byte-identical stable wm::obs counter snapshot — from
-// both the inline engine and a sharded run. This pins the whole stack
-// (capture readers, reassembly, TLS parsing, classification, decode,
-// instrumentation) against silent behavioural drift: any change that
-// alters what a fixed capture means fails here first.
+// tallies, and a byte-identical stable wm::obs counter snapshot. This
+// pins the whole stack (capture readers, reassembly, TLS parsing,
+// classification, decode, instrumentation) against silent behavioural
+// drift: any change that alters what a fixed capture means fails here
+// first.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -46,55 +46,49 @@ TEST_P(GoldenFixture, ReplayMatchesExpectedDecodeAndSnapshot) {
   const util::JsonValue expected = load_json(expected_path);
   const core::AttackPipeline pipeline = calibrated_pipeline();
 
-  // The expectation holds for the inline engine AND a sharded run: the
-  // stable section is shard-count-invariant by design.
-  for (const std::size_t shards : {std::size_t{0}, std::size_t{2}}) {
-    const std::string context =
-        spec.name + " shards=" + std::to_string(shards);
-    obs::Registry registry;
-    core::InferOptions options;
-    options.shards = shards;
-    options.per_client = true;
-    options.metrics = &registry;
-    const auto report = pipeline.infer_capture(capture_path, options);
-    ASSERT_TRUE(report.ok()) << context << ": " << report.error().to_string();
+  const std::string& context = spec.name;
+  obs::Registry registry;
+  core::InferOptions options;
+  options.per_client = true;
+  options.metrics = &registry;
+  const auto report = pipeline.infer_capture(capture_path, options);
+  ASSERT_TRUE(report.ok()) << context << ": " << report.error().to_string();
 
-    // Choice sequence.
-    const auto choices = report->combined.choices();
-    const auto& expected_choices = expected.at("choices").as_array();
-    ASSERT_EQ(choices.size(), expected_choices.size()) << context;
-    for (std::size_t i = 0; i < choices.size(); ++i) {
-      const std::string got = choices[i] == story::Choice::kNonDefault
-                                  ? "non_default"
-                                  : "default";
-      EXPECT_EQ(got, expected_choices[i].as_string()) << context << " Q" << i;
-    }
-
-    // Record tallies.
-    EXPECT_EQ(static_cast<std::int64_t>(report->combined.type1_records),
-              expected.at("type1_records").as_int()) << context;
-    EXPECT_EQ(static_cast<std::int64_t>(report->combined.type2_records),
-              expected.at("type2_records").as_int()) << context;
-    EXPECT_EQ(static_cast<std::int64_t>(report->combined.other_records),
-              expected.at("other_records").as_int()) << context;
-
-    // Per-viewer separation.
-    const auto& viewers = expected.at("viewers").as_array();
-    ASSERT_EQ(report->per_client.size(), viewers.size()) << context;
-    for (const auto& viewer : viewers) {
-      const std::string& client = viewer.at("client").as_string();
-      ASSERT_TRUE(report->per_client.count(client)) << context << " " << client;
-      EXPECT_EQ(static_cast<std::int64_t>(
-                    report->per_client.at(client).questions.size()),
-                viewer.at("questions").as_int())
-          << context << " " << client;
-    }
-
-    // Counter snapshot: the stable section must serialize to exactly
-    // the committed bytes (both are canonical compact JSON).
-    EXPECT_EQ(registry.snapshot().stable_json(), expected.at("stable").dump())
-        << context;
+  // Choice sequence.
+  const auto choices = report->combined.choices();
+  const auto& expected_choices = expected.at("choices").as_array();
+  ASSERT_EQ(choices.size(), expected_choices.size()) << context;
+  for (std::size_t i = 0; i < choices.size(); ++i) {
+    const std::string got = choices[i] == story::Choice::kNonDefault
+                                ? "non_default"
+                                : "default";
+    EXPECT_EQ(got, expected_choices[i].as_string()) << context << " Q" << i;
   }
+
+  // Record tallies.
+  EXPECT_EQ(static_cast<std::int64_t>(report->combined.type1_records),
+            expected.at("type1_records").as_int()) << context;
+  EXPECT_EQ(static_cast<std::int64_t>(report->combined.type2_records),
+            expected.at("type2_records").as_int()) << context;
+  EXPECT_EQ(static_cast<std::int64_t>(report->combined.other_records),
+            expected.at("other_records").as_int()) << context;
+
+  // Per-viewer separation.
+  const auto& viewers = expected.at("viewers").as_array();
+  ASSERT_EQ(report->per_client.size(), viewers.size()) << context;
+  for (const auto& viewer : viewers) {
+    const std::string& client = viewer.at("client").as_string();
+    ASSERT_TRUE(report->per_client.count(client)) << context << " " << client;
+    EXPECT_EQ(static_cast<std::int64_t>(
+                  report->per_client.at(client).questions.size()),
+              viewer.at("questions").as_int())
+        << context << " " << client;
+  }
+
+  // Counter snapshot: the stable section must serialize to exactly
+  // the committed bytes (both are canonical compact JSON).
+  EXPECT_EQ(registry.snapshot().stable_json(), expected.at("stable").dump())
+      << context;
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, GoldenFixture,

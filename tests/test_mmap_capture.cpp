@@ -2,7 +2,7 @@
 // path: both must yield byte-identical packet sequences on well-formed,
 // empty, snaplen-trimmed and large files, agree on where a truncated
 // file fails, and drive the engine to identical results and identical
-// stable counter exports for every shard count.
+// stable counter exports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -572,7 +572,7 @@ void expect_sessions_identical(const InferredSession& a,
   EXPECT_EQ(a.other_records, b.other_records) << context;
 }
 
-TEST(MmapDifferential, EngineIdenticalAcrossReadPathsAndShardCounts) {
+TEST(MmapDifferential, EngineIdenticalAcrossReadPaths) {
   const story::StoryGraph graph = story::make_bandersnatch();
   const AttackPipeline pipeline = calibrated_pipeline(graph);
   sim::SessionConfig config;
@@ -581,7 +581,7 @@ TEST(MmapDifferential, EngineIdenticalAcrossReadPathsAndShardCounts) {
   const auto path = fs::temp_directory_path() / "wm_mmap_differential.pcap";
   net::write_pcap(path, session.capture.packets);
 
-  // Reference: forced-istream, inline (batch-equivalent) run.
+  // Reference: the forced-istream run.
   std::string reference_stable;
   InferReport reference;
   {
@@ -592,7 +592,6 @@ TEST(MmapDifferential, EngineIdenticalAcrossReadPathsAndShardCounts) {
     auto source = engine::open_capture(path, capture_options);
     ASSERT_TRUE(source.ok()) << source.error().to_string();
     InferOptions options;
-    options.shards = 0;
     options.per_client = true;
     options.metrics = &registry;
     reference = pipeline.infer(**source, options);
@@ -601,35 +600,29 @@ TEST(MmapDifferential, EngineIdenticalAcrossReadPathsAndShardCounts) {
   }
 
   for (const bool allow_mmap : {false, true}) {
-    for (const std::size_t shards :
-         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{4},
-          std::size_t{8}}) {
-      const std::string context = std::string(allow_mmap ? "mmap" : "istream") +
-                                  " shards=" + std::to_string(shards);
-      obs::Registry registry;
-      engine::CaptureOptions capture_options;
-      capture_options.metrics = &registry;
-      capture_options.allow_mmap = allow_mmap;
-      auto source = engine::open_capture(path, capture_options);
-      ASSERT_TRUE(source.ok()) << context << ": " << source.error().to_string();
+    const std::string context = allow_mmap ? "mmap" : "istream";
+    obs::Registry registry;
+    engine::CaptureOptions capture_options;
+    capture_options.metrics = &registry;
+    capture_options.allow_mmap = allow_mmap;
+    auto source = engine::open_capture(path, capture_options);
+    ASSERT_TRUE(source.ok()) << context << ": " << source.error().to_string();
 
-      InferOptions options;
-      options.shards = shards;
-      options.per_client = true;
-      options.metrics = &registry;
-      const InferReport report = pipeline.infer(**source, options);
+    InferOptions options;
+    options.per_client = true;
+    options.metrics = &registry;
+    const InferReport report = pipeline.infer(**source, options);
 
-      expect_sessions_identical(report.combined, reference.combined, context);
-      ASSERT_EQ(report.per_client.size(), reference.per_client.size()) << context;
-      for (const auto& [client, inferred] : reference.per_client) {
-        ASSERT_TRUE(report.per_client.count(client)) << context;
-        expect_sessions_identical(report.per_client.at(client), inferred,
-                                  context + " client " + client);
-      }
-      // The stable counter export is byte-identical no matter how the
-      // bytes reached the engine or how many workers chewed them.
-      EXPECT_EQ(registry.snapshot().stable_json(), reference_stable) << context;
+    expect_sessions_identical(report.combined, reference.combined, context);
+    ASSERT_EQ(report.per_client.size(), reference.per_client.size()) << context;
+    for (const auto& [client, inferred] : reference.per_client) {
+      ASSERT_TRUE(report.per_client.count(client)) << context;
+      expect_sessions_identical(report.per_client.at(client), inferred,
+                                context + " client " + client);
     }
+    // The stable counter export is byte-identical no matter how the
+    // bytes reached the engine.
+    EXPECT_EQ(registry.snapshot().stable_json(), reference_stable) << context;
   }
   fs::remove(path);
 }

@@ -5,11 +5,13 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <tuple>
 
 #include "wm/core/bitrate_baseline.hpp"
 #include "wm/core/pipeline.hpp"
 #include "wm/net/pcap.hpp"
 #include "wm/dataset/choice_policy.hpp"
+#include "wm/sim/impairments.hpp"
 #include "wm/sim/session.hpp"
 #include "wm/story/bandersnatch.hpp"
 #include "wm/story/generator.hpp"
@@ -195,6 +197,47 @@ TEST(Pipeline, CrossConditionCalibrationKeepsJsonBandsUsable) {
       }
     }
   }
+}
+
+TEST(Features, BatchFeaturePathKeepsTheGapTaint) {
+  // Un-retransmitted segment loss leaves records parsed right after a
+  // hole (RecordEvent::after_gap). The batch feature path must carry
+  // that taint into its observations, in the decode order, or a lossy
+  // capture decodes at full confidence.
+  const story::StoryGraph graph = story::make_bandersnatch();
+  const auto session =
+      simulate(graph, sim::OperationalConditions{}, alternating(13), 5101);
+  util::Rng rng(5102);
+  const std::vector<net::Packet> lossy =
+      sim::drop_segments(session.capture.packets, 0.05, rng);
+  const std::vector<tls::FlowRecordStream> streams =
+      tls::extract_record_streams(lossy);
+  const std::vector<ClientRecordObservation> observations =
+      extract_client_records(streams);
+
+  // Every observation against its source record: (time, length) with
+  // the taint, as multisets.
+  using Key = std::tuple<util::SimTime, std::uint16_t, bool>;
+  std::vector<Key> want;
+  for (const tls::FlowRecordStream& stream : streams) {
+    for (const tls::RecordEvent& event : stream.events) {
+      if (!event.is_client_application_data()) continue;
+      want.emplace_back(event.timestamp, event.record_length, event.after_gap);
+    }
+  }
+  std::vector<Key> got;
+  std::size_t tainted = 0;
+  for (const ClientRecordObservation& observation : observations) {
+    got.emplace_back(observation.timestamp, observation.record_length,
+                     observation.after_gap);
+    if (observation.after_gap) ++tainted;
+  }
+  std::sort(want.begin(), want.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want);
+  EXPECT_GT(tainted, 0u);
+  EXPECT_TRUE(std::is_sorted(observations.begin(), observations.end(),
+                             observation_before));
 }
 
 TEST(Pipeline, PcapRoundTripPreservesInference) {

@@ -5,11 +5,11 @@
 // These tests pin the three-way contract — decode_packet ==
 // decode_lens == decode_slab — on synthetic traffic, on systematically
 // malformed/truncated frames, and on the fuzz corpus seeds; then pin
-// the engine end to end: slab mode must reproduce the scalar-oracle
-// run byte-for-byte (decode output and stable counters) across shard
-// counts and capture impairments. Finally, the arena/pool-backed flow
-// state must preserve idle-sweep behaviour and hand out clean recycled
-// state.
+// the record-stream extractor: its slab paths, over owned packets and
+// over stable views, must reproduce the per-packet feed() oracle
+// event for event (counters and stable metrics too) across capture
+// impairments. Finally, the arena/pool-backed flow state must preserve
+// idle-sweep behaviour and hand out clean recycled state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,9 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "wm/core/engine/engine.hpp"
-#include "wm/core/engine/source.hpp"
-#include "wm/core/pipeline.hpp"
 #include "wm/net/packet.hpp"
 #include "wm/net/packet_builder.hpp"
 #include "wm/obs/registry.hpp"
@@ -241,7 +238,7 @@ TEST(SlabDecode, SlabCapsAtCapacity) {
   EXPECT_EQ(slab.count, net::DecodedSlab::kCapacity);
 }
 
-// --- engine: slab mode vs scalar oracle -------------------------------
+// --- extractor: slab paths vs the per-packet scalar oracle -----------
 
 std::vector<net::Packet> merged_capture(std::size_t viewers,
                                         std::uint64_t seed) {
@@ -268,17 +265,91 @@ std::vector<net::Packet> merged_capture(std::size_t viewers,
   return merged;
 }
 
-TEST(SlabDecode, EngineSlabMatchesScalarAcrossShardsAndImpairments) {
-  const story::StoryGraph graph = story::make_bandersnatch();
-  core::AttackPipeline pipeline("interval");
-  {
-    sim::SessionConfig config;
-    config.seed = 8901;
-    auto session = sim::simulate_session(graph, alternating(13), config);
-    pipeline.calibrate({core::CalibrationSession{
-        std::move(session.capture.packets), std::move(session.truth)}});
-  }
+/// Everything one extractor run can be compared on: its deliveries
+/// (feeds, then the end-of-capture flush), its counters and its stable
+/// metrics export.
+struct ExtractorRun {
+  std::vector<tls::StreamEvent> events;
+  std::vector<std::uint64_t> counters;
+  std::string stable_json;
+};
 
+enum class FeedPath { kScalar, kSlabPackets, kSlabViews };
+
+ExtractorRun run_extractor(const std::vector<net::Packet>& packets,
+                           FeedPath path) {
+  obs::Registry registry;
+  tls::RecordStreamExtractor::Config config;
+  config.retain_events = false;
+  config.idle_timeout = Duration::seconds(30);
+  config.registry = &registry;
+  tls::RecordStreamExtractor extractor(config);
+
+  ExtractorRun run;
+  // Slab paths read 256 packets at a time, as the engine does.
+  constexpr std::size_t kBatch = 256;
+  std::vector<net::PacketView> views;
+  for (std::size_t begin = 0; begin < packets.size(); begin += kBatch) {
+    const std::size_t count = std::min(kBatch, packets.size() - begin);
+    switch (path) {
+      case FeedPath::kScalar:
+        for (std::size_t i = begin; i < begin + count; ++i) {
+          for (tls::StreamEvent& event : extractor.feed(packets[i])) {
+            run.events.push_back(std::move(event));
+          }
+        }
+        break;
+      case FeedPath::kSlabPackets:
+        extractor.feed_batch(packets.data() + begin, count, run.events);
+        break;
+      case FeedPath::kSlabViews:
+        views.clear();
+        for (std::size_t i = begin; i < begin + count; ++i) {
+          views.emplace_back(packets[i]);
+        }
+        extractor.feed_batch(views.data(), count, run.events,
+                             /*stable_payload=*/true);
+        break;
+    }
+  }
+  for (tls::StreamEvent& event : extractor.flush()) {
+    run.events.push_back(std::move(event));
+  }
+  run.counters = {extractor.packets_seen(),      extractor.packets_undecodable(),
+                  extractor.active_flows(),      extractor.peak_active_flows(),
+                  extractor.flows_opened(),      extractor.flows_evicted(),
+                  extractor.flows_completed(),   extractor.flows_closed(),
+                  extractor.gaps(),              extractor.gap_bytes(),
+                  extractor.tls_bytes_skipped(), extractor.tls_resyncs()};
+  run.stable_json = registry.snapshot().stable_json();
+  return run;
+}
+
+void expect_events_identical(const std::vector<tls::StreamEvent>& got,
+                             const std::vector<tls::StreamEvent>& want,
+                             const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const std::string at = context + " event " + std::to_string(i);
+    ASSERT_EQ(got[i].flow, want[i].flow) << at;
+    ASSERT_EQ(got[i].kind, want[i].kind) << at;
+    if (got[i].kind == tls::StreamEvent::Kind::kGap) {
+      EXPECT_EQ(got[i].gap.timestamp, want[i].gap.timestamp) << at;
+      EXPECT_EQ(got[i].gap.direction, want[i].gap.direction) << at;
+      EXPECT_EQ(got[i].gap.stream_offset, want[i].gap.stream_offset) << at;
+      EXPECT_EQ(got[i].gap.length, want[i].gap.length) << at;
+    } else {
+      EXPECT_EQ(got[i].event.timestamp, want[i].event.timestamp) << at;
+      EXPECT_EQ(got[i].event.direction, want[i].event.direction) << at;
+      EXPECT_EQ(got[i].event.content_type, want[i].event.content_type) << at;
+      EXPECT_EQ(got[i].event.record_length, want[i].event.record_length) << at;
+      EXPECT_EQ(got[i].event.stream_offset, want[i].event.stream_offset) << at;
+      EXPECT_EQ(got[i].event.after_gap, want[i].event.after_gap) << at;
+    }
+  }
+}
+
+TEST(SlabDecode, ExtractorSlabPathsMatchScalarAcrossImpairments) {
   const std::vector<net::Packet> base = merged_capture(2, 8902);
   struct Scenario {
     std::string name;
@@ -300,75 +371,22 @@ TEST(SlabDecode, EngineSlabMatchesScalarAcrossShardsAndImpairments) {
     scenarios.push_back({"loss1pct", sim::drop_segments(base, 0.01, rng)});
   }
 
-  const auto run = [&](const Scenario& scenario, std::size_t shards,
-                       bool slab, obs::Registry* registry) {
-    engine::EngineConfig config;
-    config.shards = shards;
-    config.slab_decode = slab;
-    config.flow_idle_timeout = Duration::seconds(30);
-    config.metrics = registry;
-    engine::VectorSource source(&scenario.packets);
-    return engine::analyze(pipeline.classifier(), source, config);
-  };
-
   for (const Scenario& scenario : scenarios) {
-    // Pairwise at every shard count: the scalar-oracle run shares the
-    // engine config (same sharding, same eviction cadence) and differs
-    // ONLY in the decoder, so any divergence indicts the slab path.
-    for (const std::size_t shards : {std::size_t{0}, std::size_t{1},
-                                     std::size_t{2}, std::size_t{4},
-                                     std::size_t{8}}) {
+    // The per-packet scalar chain is the oracle: the slab runs share the
+    // extractor config (same eviction cadence) and differ ONLY in the
+    // decoder and in how payloads are held, so any divergence indicts
+    // the slab path.
+    const ExtractorRun scalar = run_extractor(scenario.packets, FeedPath::kScalar);
+    ASSERT_FALSE(scalar.events.empty()) << scenario.name;
+    ASSERT_FALSE(scalar.stable_json.empty()) << scenario.name;
+    for (const FeedPath path : {FeedPath::kSlabPackets, FeedPath::kSlabViews}) {
       const std::string context =
-          scenario.name + " shards=" + std::to_string(shards);
-      obs::Registry scalar_registry;
-      const engine::EngineResult scalar =
-          run(scenario, shards, /*slab=*/false, &scalar_registry);
-      const std::string scalar_stable =
-          scalar_registry.snapshot().stable_json();
-      ASSERT_FALSE(scalar_stable.empty()) << context;
-      obs::Registry registry;
-      const engine::EngineResult slab =
-          run(scenario, shards, /*slab=*/true, &registry);
-
-      // Identical analysis output...
-      ASSERT_EQ(slab.combined.questions.size(),
-                scalar.combined.questions.size())
-          << context;
-      for (std::size_t i = 0; i < slab.combined.questions.size(); ++i) {
-        EXPECT_EQ(slab.combined.questions[i].index,
-                  scalar.combined.questions[i].index)
-            << context << " Q" << i;
-        EXPECT_EQ(slab.combined.questions[i].choice,
-                  scalar.combined.questions[i].choice)
-            << context << " Q" << i;
-        EXPECT_EQ(slab.combined.questions[i].question_time,
-                  scalar.combined.questions[i].question_time)
-            << context << " Q" << i;
-        EXPECT_DOUBLE_EQ(slab.combined.questions[i].confidence,
-                         scalar.combined.questions[i].confidence)
-            << context << " Q" << i;
-      }
-      // ...identical flow/record/loss accounting...
-      EXPECT_EQ(slab.stats.packets_in, scalar.stats.packets_in) << context;
-      EXPECT_EQ(slab.stats.bytes_in, scalar.stats.bytes_in) << context;
-      EXPECT_EQ(slab.stats.packets_undecodable,
-                scalar.stats.packets_undecodable)
-          << context;
-      EXPECT_EQ(slab.stats.records, scalar.stats.records) << context;
-      EXPECT_EQ(slab.stats.client_records, scalar.stats.client_records)
-          << context;
-      EXPECT_EQ(slab.stats.flows_opened, scalar.stats.flows_opened) << context;
-      EXPECT_EQ(slab.stats.flows_evicted, scalar.stats.flows_evicted)
-          << context;
-      EXPECT_EQ(slab.stats.flows_completed, scalar.stats.flows_completed)
-          << context;
-      EXPECT_EQ(slab.stats.gaps, scalar.stats.gaps) << context;
-      EXPECT_EQ(slab.stats.gap_bytes, scalar.stats.gap_bytes) << context;
-      EXPECT_EQ(slab.stats.tls_resyncs, scalar.stats.tls_resyncs) << context;
-      EXPECT_EQ(slab.stats.tls_skipped_bytes, scalar.stats.tls_skipped_bytes)
-          << context;
-      // ...and byte-identical stable counters.
-      EXPECT_EQ(registry.snapshot().stable_json(), scalar_stable) << context;
+          scenario.name +
+          (path == FeedPath::kSlabPackets ? " slab packets" : " slab views");
+      const ExtractorRun slab = run_extractor(scenario.packets, path);
+      expect_events_identical(slab.events, scalar.events, context);
+      EXPECT_EQ(slab.counters, scalar.counters) << context;
+      EXPECT_EQ(slab.stable_json, scalar.stable_json) << context;
     }
   }
 }
@@ -534,8 +552,8 @@ TEST(SlabDecode, RecycledFlowStateStartsClean) {
 TEST(SlabDecode, FlushRetiresFlowsInFlowKeyOrder) {
   // Three live flows inserted in descending client-port order; flush()
   // must still deliver their events grouped in ascending FlowKey order
-  // — the shard-invariant retirement order the differential suite
-  // relies on, preserved across the arena/index rebuild.
+  // — the retirement order the differential suites rely on, preserved
+  // across the arena/index rebuild.
   tls::RecordStreamExtractor extractor;
   for (const std::uint16_t port : {53005, 53003, 53001}) {
     std::vector<net::Packet> packets =

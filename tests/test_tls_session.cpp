@@ -401,11 +401,9 @@ TEST(RecordStreamExtractor, ClosedFlowsRetireAtTeardown) {
 
 TEST_F(RecordStreamTest, ReusedFourTupleReportsEachConnectionsSni) {
   // Two FIN-closed connections on one 4-tuple with different SNIs, fed
-  // in one batch. Each retires at its close, and the retirement report
-  // carries that connection's own SNI and where its events end in the
-  // call's output: a consumer keeping per-flow state beside the
-  // extractor (the engine's collector keys and SNI cache) drops it in
-  // event order, so the second connection never inherits the first's.
+  // in one batch. Each retires at its close, so finish() returns two
+  // streams for the one flow key, each with its own connection's SNI
+  // and records: the second never inherits the first's.
   TlsSessionConfig other = firefox_config();
   other.sni = "assets.nflxext.com";
   std::vector<net::Packet> packets = build_connection({400}, {900});
@@ -415,36 +413,25 @@ TEST_F(RecordStreamTest, ReusedFourTupleReportsEachConnectionsSni) {
     packets.push_back(std::move(packet));
   }
 
-  RecordStreamExtractor::Config config;
-  config.retain_events = false;
-  config.report_retired = true;
-  RecordStreamExtractor extractor(config);
+  RecordStreamExtractor extractor;
   std::vector<StreamEvent> events;
   extractor.feed_batch(packets.data(), packets.size(), events);
   EXPECT_EQ(extractor.flows_closed(), 2u);
-  const std::vector<RecordStreamExtractor::RetiredFlow>& retired =
-      extractor.retired();
-  ASSERT_EQ(retired.size(), 2u);
-  EXPECT_EQ(retired[0].flow, retired[1].flow);
-  EXPECT_EQ(retired[0].sni, firefox_config().sni);
-  EXPECT_EQ(retired[1].sni, other.sni);
-  ASSERT_LT(retired[0].events_before, retired[1].events_before);
-  EXPECT_EQ(retired[1].events_before, events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    ASSERT_EQ(events[i].kind, StreamEvent::Kind::kRecord);
-    EXPECT_EQ(events[i].event.timestamp < SimTime::from_seconds(5),
-              i < retired[0].events_before)
-        << "event " << i;
+  const std::vector<FlowRecordStream> streams = extractor.finish();
+  ASSERT_EQ(streams.size(), 2u);
+  EXPECT_EQ(streams[0].flow, streams[1].flow);
+  EXPECT_EQ(streams[0].sni, firefox_config().sni);
+  EXPECT_EQ(streams[1].sni, other.sni);
+  ASSERT_FALSE(streams[0].events.empty());
+  ASSERT_FALSE(streams[1].events.empty());
+  for (const RecordEvent& event : streams[0].events) {
+    EXPECT_LT(event.timestamp, SimTime::from_seconds(5));
   }
-  extractor.clear_retired();
-  EXPECT_TRUE(extractor.retired().empty());
-
-  // Off by default: an extractor nobody asked records nothing.
-  RecordStreamExtractor quiet;
-  events.clear();
-  quiet.feed_batch(packets.data(), packets.size(), events);
-  EXPECT_EQ(quiet.flows_closed(), 2u);
-  EXPECT_TRUE(quiet.retired().empty());
+  for (const RecordEvent& event : streams[1].events) {
+    EXPECT_GE(event.timestamp, SimTime::from_seconds(5));
+  }
+  EXPECT_EQ(streams[0].events.size() + streams[1].events.size(),
+            events.size());
 }
 
 TEST_F(RecordStreamTest, ReusedFourTupleAfterLostFinalAckOpensANewFlow) {
