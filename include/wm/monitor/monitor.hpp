@@ -1,8 +1,8 @@
 // wm::monitor — always-on continuous inference over live traffic.
 //
-// The batch pipeline and even the sharded engine are replay-oriented:
-// both collect every observation and only decode answers when the
-// capture ends. A monitoring vantage point (the paper's §VI passive
+// The batch pipeline and the batch engine are replay-oriented: both
+// collect every observation and only decode answers when the capture
+// ends. A monitoring vantage point (the paper's §VI passive
 // eavesdropper; the clinic-visit and platform-characterization settings
 // in related work) never reaches end-of-capture — packets arrive
 // forever, from an unbounded set of viewers — so the system must
@@ -32,8 +32,9 @@
 // (b) the viewer was not shed by a memory ceiling. Confidence values
 // match except for gaps that arrive only after a question's window
 // already closed — batch settles a question only when its successor
-// opens and so sees those, an online emitter cannot. Shard the engine
-// for throughput; run the monitor for latency-bounded answers.
+// opens and so sees those, an online emitter cannot. The batch engine
+// runs on the caller's thread; for multi-core analysis run a
+// MonitorFleet, which shards viewers across one monitor per worker.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +65,8 @@ struct MonitorConfig {
   /// swept from the timer wheel. Zero = never. A flow retires at its
   /// TCP teardown (RST, or the closer's ACK of the peer's FIN), so the
   /// sweep collects flows that never finish: abandoned connections and
-  /// closes whose final ACK was lost. Each holds about 1.2 KB once its
-  /// parsers have drained (mostly its map node;
+  /// closes whose final ACK was lost. Each holds about 1 KB once its
+  /// parsers have drained (mostly its flow slot;
   /// RecordStreamExtractor::memory_bytes() counts it).
   util::Duration flow_idle_timeout = util::Duration::seconds(60);
   /// Per-flow TCP reassembly tuning for the extractor.

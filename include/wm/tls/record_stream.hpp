@@ -8,8 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
+#include <deque>
 #include <optional>
 #include <string>
 #include <vector>
@@ -19,7 +18,6 @@
 #include "wm/net/reassembly.hpp"
 #include "wm/obs/registry.hpp"
 #include "wm/tls/record.hpp"
-#include "wm/util/arena.hpp"
 
 namespace wm::tls {
 
@@ -124,12 +122,6 @@ class RecordStreamExtractor {
   RecordStreamExtractor() : RecordStreamExtractor(Config{}) {}
   explicit RecordStreamExtractor(Config config);
 
-  /// Move-only: per-flow map nodes live on the extractor's arena (held
-  /// through a stable unique_ptr), so moves are safe but copies would
-  /// alias the arena.
-  RecordStreamExtractor(RecordStreamExtractor&&) = default;
-  RecordStreamExtractor& operator=(RecordStreamExtractor&&) = delete;
-
   /// Feed the next captured packet and return the TLS records it
   /// completed, in parse order. Non-TCP and non-decodable packets are
   /// counted and otherwise ignored. This is the scalar-oracle path: it
@@ -185,7 +177,7 @@ class RecordStreamExtractor {
 
   /// Complete extraction (implies flush()) and return one stream per
   /// TCP flow (including evicted ones, when events are retained),
-  /// ordered by first-seen time.
+  /// ordered by first event time, then by FlowKey.
   [[nodiscard]] std::vector<FlowRecordStream> finish();
 
   [[nodiscard]] std::size_t packets_seen() const { return packets_seen_; }
@@ -193,13 +185,13 @@ class RecordStreamExtractor {
     return packets_undecodable_;
   }
   /// Flows currently holding reassembly/parser state.
-  [[nodiscard]] std::size_t active_flows() const { return flows_.size(); }
+  [[nodiscard]] std::size_t active_flows() const {
+    return slots_.size() - free_slots_.size();
+  }
   /// High-water mark of active_flows() over the extractor's lifetime.
   [[nodiscard]] std::size_t peak_active_flows() const {
     return peak_active_flows_;
   }
-  /// The arena backing the flow map, for stats/poisoning tests.
-  [[nodiscard]] const util::Arena& arena() const { return *arena_; }
   /// Total flows opened / evicted over the extractor's lifetime.
   [[nodiscard]] std::uint64_t flows_opened() const { return flows_opened_; }
   [[nodiscard]] std::uint64_t flows_evicted() const { return flows_evicted_; }
@@ -220,10 +212,10 @@ class RecordStreamExtractor {
   [[nodiscard]] std::uint64_t holds_copied() const { return holds_.copied(); }
   /// Sum of live out-of-order reassembly buffers across active flows.
   [[nodiscard]] std::size_t buffered_reassembly_bytes() const;
-  /// Heap bytes of flow state: map nodes (the arena's live bytes), the
-  /// flow index, parser and reassembly capacities, retained events,
-  /// pooled shells and spare hold buffers. Walks every flow, so it is
-  /// for tests and diagnostics, not for the per-packet path.
+  /// Heap bytes of flow state: the flow slots (live and free), the
+  /// flow index, parser and reassembly capacities, retained events and
+  /// spare hold buffers. Walks every slot, so it is for tests and
+  /// diagnostics, not for the per-packet path.
   [[nodiscard]] std::size_t memory_bytes() const;
   /// The SNI observed on a flow, if its ClientHello has been parsed.
   [[nodiscard]] std::optional<std::string> sni_of(const net::FlowKey& flow) const;
@@ -237,6 +229,7 @@ class RecordStreamExtractor {
 
  private:
   struct PerFlow {
+    net::FlowKey key;
     net::TcpConnectionReassembler reassembler;
     TlsRecordParser client_parser;
     TlsRecordParser server_parser;
@@ -251,28 +244,22 @@ class RecordStreamExtractor {
     /// counters, so deltas can be published incrementally.
     std::uint64_t tls_skipped_accounted = 0;
     std::uint64_t tls_resyncs_accounted = 0;
-    /// This flow's slot key in the open-addressing index (the remapped
-    /// endpoint-pair hash), kept so erasure can tombstone the slot
-    /// without recomputing it.
+    /// This flow's key in the open-addressing index (the remapped
+    /// endpoint-pair hash, >= 2), kept so erasure can tombstone its
+    /// index slot without recomputing it. 0 marks a free slot.
     std::uint64_t index_hash = 0;
     /// The direction whose FIN was delivered first: the active closer,
     /// whose pure ACK of the peer's FIN retires the flow.
     std::optional<net::FlowDirection> first_fin;
   };
 
-  /// Flow-state authority, ordered by key so eviction sweeps and
-  /// flush() walk flows in FlowKey order (the order the differential
-  /// tests pin). Nodes come from the extractor's arena.
-  using FlowMap =
-      std::map<net::FlowKey, PerFlow, std::less<net::FlowKey>,
-               util::ArenaAllocator<std::pair<const net::FlowKey, PerFlow>>>;
-
   /// One open-addressing index slot: remapped hash (0 = empty,
-  /// 1 = tombstone, >= 2 = live) plus the map entry it points at.
+  /// 1 = tombstone, >= 2 = live) plus the id of the flow slot it names.
   struct IndexSlot {
     std::uint64_t hash = 0;
-    FlowMap::iterator it{};
+    std::uint32_t slot = 0;
   };
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
   /// The per-packet step behind feed_lens() and feed_lens_lend():
   /// `lendable`, when not null, is the buffer `frame` views.
@@ -289,39 +276,41 @@ class RecordStreamExtractor {
                 std::vector<StreamEvent>& out);
   /// Buffer-everything fallback of feed_tcp for segments the in-order
   /// fast path rejects (SYN/FIN/RST, truncation, reorder, retransmit).
-  void feed_tcp_slow(FlowMap::iterator it, net::FlowDirection direction,
+  void feed_tcp_slow(std::uint32_t slot, net::FlowDirection direction,
                      util::SimTime timestamp, std::uint32_t sequence,
                      std::uint8_t tcp_flags, util::BytesView payload,
                      std::size_t truncated_bytes, bool has_payload,
                      net::PayloadHold hold, std::vector<StreamEvent>& out);
 
-  /// Probe the index for either orientation of (source, destination).
-  /// On a hit, `direction` is set to the matching orientation.
-  FlowMap::iterator find_flow(std::uint64_t hash, const net::Endpoint& source,
-                              const net::Endpoint& destination,
-                              net::FlowDirection& direction);
-  FlowMap::iterator insert_flow(std::uint64_t hash, const net::FlowKey& key);
-  /// Tombstone the index slot, recycle the PerFlow into the pool, and
-  /// erase the map node. Returns the iterator past the erased entry.
-  FlowMap::iterator erase_flow(FlowMap::iterator it);
-  void index_insert(std::uint64_t hash, FlowMap::iterator it);
+  /// Probe the index for either orientation of (source, destination)
+  /// and return the flow's slot id, or kNoSlot. On a hit, `direction`
+  /// is set to the matching orientation.
+  std::uint32_t find_flow(std::uint64_t hash, const net::Endpoint& source,
+                          const net::Endpoint& destination,
+                          net::FlowDirection& direction) const;
+  /// Open a flow in a free slot (or a new one) and index it.
+  std::uint32_t insert_flow(std::uint64_t hash, const net::FlowKey& key);
+  /// Tombstone the flow's index slot, reset its state in place, and
+  /// put the slot on the free list.
+  void erase_flow(std::uint32_t slot);
+  void index_insert(std::uint64_t hash, std::uint32_t slot);
   void index_grow();
 
   void evict_idle(util::SimTime now);
-  FlowRecordStream snapshot(const net::FlowKey& key, const PerFlow& state) const;
+  FlowRecordStream snapshot(const PerFlow& state) const;
   /// Route reassembler output (chunks and gaps) through the right TLS
   /// parser and append the resulting StreamEvents to `out`. Owned chunk
   /// buffers go back to the spares once parsed.
-  void process_items(const net::FlowKey& key, PerFlow& state,
+  void process_items(PerFlow& state,
                      std::vector<net::TcpConnectionReassembler::DirectedItem>& items,
                      std::vector<StreamEvent>& out);
-  void emit_record(const net::FlowKey& key, PerFlow& state,
-                   net::FlowDirection direction, TlsRecordParser::ParsedRecord& parsed,
+  void emit_record(PerFlow& state, net::FlowDirection direction,
+                   TlsRecordParser::ParsedRecord& parsed,
                    std::vector<StreamEvent>& out);
   /// Publish any not-yet-accounted TLS skip/resync deltas for a flow.
   void sync_tls_counters(PerFlow& state);
   /// Flush parsers, snapshot, and retire one flow (teardown or flush()).
-  void complete_flow(FlowMap::iterator it, std::vector<StreamEvent>& out);
+  void complete_flow(std::uint32_t slot, std::vector<StreamEvent>& out);
   /// Both directions' FINs delivered in order (or an RST seen).
   static bool closed_both_ways(const PerFlow& state);
 
@@ -352,21 +341,18 @@ class RecordStreamExtractor {
 
   Config config_;
   Metrics metrics_;
-  /// Backs the flow-map nodes. Held through a unique_ptr so the arena's
-  /// address survives extractor moves (map nodes and the allocator both
-  /// point at it); declared before flows_ so it outlives the map.
-  std::unique_ptr<util::Arena> arena_;
-  FlowMap flows_;
-  /// Open-addressing hash index over flows_: a lookup is one symmetric
-  /// endpoint-pair hash plus a short linear probe, instead of up to two
-  /// ordered-map descents with FlowKey comparisons per level.
+  /// The flow table: one slot per flow, live or free. A deque, so a
+  /// live flow never moves when the table grows. A retired flow is
+  /// reset in place (event vector capacity kept) and its slot id goes
+  /// on `free_slots_` for the next flow, so steady-state churn reuses
+  /// slots and the table never grows past the peak of live flows.
+  std::deque<PerFlow> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  /// Open-addressing hash index over the live slots: a lookup is one
+  /// symmetric endpoint-pair hash plus a short linear probe.
   std::vector<IndexSlot> index_;
   std::size_t index_live_ = 0;
   std::size_t index_tombstones_ = 0;
-  /// Retired PerFlow shells (parsers reset, event vector cleared but
-  /// with its capacity retained) awaiting reuse, so steady-state flow
-  /// churn stops paying for fresh flow state.
-  std::vector<PerFlow> pool_;
   /// Spare buffers for the reassemblers' owned holds, shared by every
   /// flow, refilled from delivered chunks, at most kSpareHolds
   /// (record_stream.cpp) of them.

@@ -9,16 +9,19 @@ namespace wm::tls {
 
 namespace {
 
-/// Retired PerFlow shells kept for reuse; beyond this the shells are
-/// simply destroyed (flow churn above this is long-tail, not steady
-/// state, so unbounded pooling would just hoard capacity).
-constexpr std::size_t kFlowPoolCap = 1024;
 /// Initial index capacity (power of two).
 constexpr std::size_t kIndexInitialSlots = 1024;
 /// Spare hold buffers kept for reuse (each about a frame, ~1.5 KB).
 /// Enough for the holds a shard has out at once on jittered traffic;
 /// more would only sit idle, and they die with the extractor.
 constexpr std::size_t kSpareHolds = 64;
+
+/// The flow index key of a TCP endpoint pair: the symmetric
+/// endpoint-pair hash, moved off 0 and 1 (the empty/tombstone marks).
+std::uint64_t index_key(const net::Endpoint& a, const net::Endpoint& b) {
+  const std::uint64_t hash = net::endpoint_pair_hash(a, b, net::IpProtocol::kTcp);
+  return hash < 2 ? hash + 2 : hash;
+}
 
 }  // namespace
 
@@ -31,12 +34,7 @@ std::size_t FlowRecordStream::count(net::FlowDirection direction,
 }
 
 RecordStreamExtractor::RecordStreamExtractor(Config config)
-    : config_(std::move(config)),
-      arena_(std::make_unique<util::Arena>()),
-      flows_(std::less<net::FlowKey>(),
-             util::ArenaAllocator<std::pair<const net::FlowKey, PerFlow>>(
-                 arena_.get())),
-      holds_(kSpareHolds) {
+    : config_(std::move(config)), holds_(kSpareHolds) {
   if (config_.registry != nullptr) {
     const auto resolve = [this](const std::string& suffix,
                                 obs::Stability rollup_stability =
@@ -220,21 +218,19 @@ void RecordStreamExtractor::feed_tcp(util::SimTime timestamp,
                                      std::size_t truncated_bytes,
                                      net::PayloadHold hold,
                                      std::vector<StreamEvent>& out) {
-  std::uint64_t hash =
-      net::endpoint_pair_hash(source, destination, net::IpProtocol::kTcp);
-  if (hash < 2) hash += 2;  // 0 and 1 are the index's empty/tombstone marks
+  const std::uint64_t hash = index_key(source, destination);
 
   const bool is_syn_only = (tcp_flags & 0x02) != 0 && (tcp_flags & 0x10) == 0;
   net::FlowDirection direction = net::FlowDirection::kClientToServer;
-  FlowMap::iterator it = find_flow(hash, source, destination, direction);
-  if (it != flows_.end() && is_syn_only && closed_both_ways(it->second)) {
+  std::uint32_t slot = find_flow(hash, source, destination, direction);
+  if (slot != kNoSlot && is_syn_only && closed_both_ways(slots_[slot])) {
     // A new connection on the 4-tuple of one that finished but never
     // saw its final ACK: retire the old flow, open a fresh one.
-    complete_flow(it, out);
+    complete_flow(slot, out);
     ++flows_closed_;
-    it = flows_.end();
+    slot = kNoSlot;
   }
-  if (it == flows_.end()) {
+  if (slot == kNoSlot) {
     // New flow: decide orientation. The sender of a pure SYN is the
     // client; otherwise the well-known-port heuristic — a source port
     // below 1024 (and a peer's that is not) suggests the packet came
@@ -244,12 +240,12 @@ void RecordStreamExtractor::feed_tcp(util::SimTime timestamp,
       key = net::FlowKey{destination, source, net::IpProtocol::kTcp};
       direction = net::FlowDirection::kServerToClient;
     }
-    it = insert_flow(hash, key);
-    it->second.first_seen = timestamp;
+    slot = insert_flow(hash, key);
+    slots_[slot].first_seen = timestamp;
     ++flows_opened_;
     obs::inc(metrics_.flows_opened);
   }
-  PerFlow& state = it->second;
+  PerFlow& state = slots_[slot];
   state.last_seen = timestamp;
 
   const bool has_payload = !payload.empty();
@@ -260,7 +256,7 @@ void RecordStreamExtractor::feed_tcp(util::SimTime timestamp,
   // retransmit, pending data behind a hole) — the rejection mutates
   // nothing, so the slow path sees pristine state.
   if ((tcp_flags & 0x07) != 0 || truncated_bytes != 0) {
-    feed_tcp_slow(it, direction, timestamp, sequence, tcp_flags, payload,
+    feed_tcp_slow(slot, direction, timestamp, sequence, tcp_flags, payload,
                   truncated_bytes, has_payload, hold, out);
     return;
   }
@@ -268,7 +264,7 @@ void RecordStreamExtractor::feed_tcp(util::SimTime timestamp,
       state.reassembler.stream(direction).accept_in_order(sequence,
                                                           payload.size());
   if (!offset) {
-    feed_tcp_slow(it, direction, timestamp, sequence, tcp_flags, payload,
+    feed_tcp_slow(slot, direction, timestamp, sequence, tcp_flags, payload,
                   truncated_bytes, has_payload, hold, out);
     return;
   }
@@ -285,18 +281,18 @@ void RecordStreamExtractor::feed_tcp(util::SimTime timestamp,
   parsed_scratch_.clear();
   parser.feed(timestamp, payload, parsed_scratch_);
   for (TlsRecordParser::ParsedRecord& parsed : parsed_scratch_) {
-    emit_record(it->first, state, direction, parsed, out);
+    emit_record(state, direction, parsed, out);
   }
   parser.trim();  // the records' payload views are done with
   sync_tls_counters(state);
 }
 
 void RecordStreamExtractor::feed_tcp_slow(
-    FlowMap::iterator it, net::FlowDirection direction, util::SimTime timestamp,
+    std::uint32_t slot, net::FlowDirection direction, util::SimTime timestamp,
     std::uint32_t sequence, std::uint8_t tcp_flags, util::BytesView payload,
     std::size_t truncated_bytes, bool has_payload, net::PayloadHold hold,
     std::vector<StreamEvent>& out) {
-  PerFlow& state = it->second;
+  PerFlow& state = slots_[slot];
   const std::uint64_t dropped_before =
       state.reassembler.client_stream().dropped_bytes() +
       state.reassembler.server_stream().dropped_bytes();
@@ -314,7 +310,7 @@ void RecordStreamExtractor::feed_tcp_slow(
       state.reassembler.server_stream().dropped_bytes();
   obs::inc(metrics_.tcp_dropped_bytes, dropped_after - dropped_before);
 
-  process_items(it->first, state, items_scratch_, out);
+  process_items(state, items_scratch_, out);
   sync_tls_counters(state);
 
   if (!state.first_fin && state.reassembler.stream(direction).finished()) {
@@ -329,7 +325,7 @@ void RecordStreamExtractor::feed_tcp_slow(
                         truncated_bytes == 0;
   if (state.reassembler.reset() ||
       (pure_ack && state.first_fin == direction && closed_both_ways(state))) {
-    complete_flow(it, out);
+    complete_flow(slot, out);
     ++flows_closed_;
   }
 }
@@ -339,86 +335,82 @@ bool RecordStreamExtractor::closed_both_ways(const PerFlow& state) {
          state.reassembler.server_stream().finished();
 }
 
-RecordStreamExtractor::FlowMap::iterator RecordStreamExtractor::find_flow(
+std::uint32_t RecordStreamExtractor::find_flow(
     std::uint64_t hash, const net::Endpoint& source,
-    const net::Endpoint& destination, net::FlowDirection& direction) {
-  if (index_.empty()) return flows_.end();
+    const net::Endpoint& destination, net::FlowDirection& direction) const {
+  if (index_.empty()) return kNoSlot;
   const std::size_t mask = index_.size() - 1;
   for (std::size_t pos = hash & mask;; pos = (pos + 1) & mask) {
-    const IndexSlot& slot = index_[pos];
-    if (slot.hash == 0) return flows_.end();
-    if (slot.hash != hash) continue;  // tombstones (hash 1) land here too
-    const net::FlowKey& key = slot.it->first;
+    const IndexSlot& entry = index_[pos];
+    if (entry.hash == 0) return kNoSlot;
+    if (entry.hash != hash) continue;  // tombstones (hash 1) land here too
+    const net::FlowKey& key = slots_[entry.slot].key;
     if (key.client == source && key.server == destination) {
       direction = net::FlowDirection::kClientToServer;
-      return slot.it;
+      return entry.slot;
     }
     if (key.client == destination && key.server == source) {
       direction = net::FlowDirection::kServerToClient;
-      return slot.it;
+      return entry.slot;
     }
   }
 }
 
-RecordStreamExtractor::FlowMap::iterator RecordStreamExtractor::insert_flow(
-    std::uint64_t hash, const net::FlowKey& key) {
-  PerFlow fresh;
-  if (!pool_.empty()) {
-    fresh = std::move(pool_.back());
-    pool_.pop_back();
+std::uint32_t RecordStreamExtractor::insert_flow(std::uint64_t hash,
+                                                 const net::FlowKey& key) {
+  std::uint32_t slot = 0;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
   } else {
-    fresh.reassembler = net::TcpConnectionReassembler(config_.reassembly);
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back().reassembler =
+        net::TcpConnectionReassembler(config_.reassembly);
   }
-  fresh.index_hash = hash;
-  const FlowMap::iterator it = flows_.emplace(key, std::move(fresh)).first;
-  index_insert(hash, it);
-  if (flows_.size() > peak_active_flows_) peak_active_flows_ = flows_.size();
-  return it;
+  PerFlow& state = slots_[slot];
+  state.key = key;
+  state.index_hash = hash;
+  index_insert(hash, slot);
+  peak_active_flows_ = std::max(peak_active_flows_, active_flows());
+  return slot;
 }
 
-RecordStreamExtractor::FlowMap::iterator RecordStreamExtractor::erase_flow(
-    FlowMap::iterator it) {
-  if (!index_.empty()) {
-    const std::uint64_t hash = it->second.index_hash;
-    const std::size_t mask = index_.size() - 1;
-    for (std::size_t pos = hash & mask;; pos = (pos + 1) & mask) {
-      IndexSlot& slot = index_[pos];
-      if (slot.hash == 0) break;  // defensive: entry was not indexed
-      if (slot.hash == hash && slot.it == it) {
-        slot.hash = 1;  // tombstone: probes continue across it
-        slot.it = FlowMap::iterator{};
-        --index_live_;
-        ++index_tombstones_;
-        break;
-      }
+void RecordStreamExtractor::erase_flow(std::uint32_t slot) {
+  PerFlow& state = slots_[slot];
+  const std::uint64_t hash = state.index_hash;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t pos = hash & mask;; pos = (pos + 1) & mask) {
+    IndexSlot& entry = index_[pos];
+    if (entry.hash == 0) break;  // defensive: flow was not indexed
+    if (entry.hash == hash && entry.slot == slot) {
+      entry.hash = 1;  // tombstone: probes continue across it
+      --index_live_;
+      ++index_tombstones_;
+      break;
     }
   }
-  // Recycle the shell: content dropped, parser buffers freed, the
-  // event vector's capacity retained.
-  PerFlow shell = std::move(it->second);
-  if (pool_.size() < kFlowPoolCap) {
-    shell.reassembler = net::TcpConnectionReassembler(config_.reassembly);
-    shell.client_parser.reset();
-    shell.server_parser.reset();
-    shell.events.clear();
-    shell.sni.reset();
-    shell.sni_searched = false;
-    shell.gaps = 0;
-    shell.gap_bytes = 0;
-    shell.tls_skipped_accounted = 0;
-    shell.tls_resyncs_accounted = 0;
-    shell.index_hash = 0;
-    shell.first_fin.reset();
-    pool_.push_back(std::move(shell));
-  }
-  return flows_.erase(it);
+  // Reset in place for the slot's next flow: content dropped, parser
+  // buffers freed, the event vector's capacity retained.
+  state.reassembler = net::TcpConnectionReassembler(config_.reassembly);
+  state.client_parser.reset();
+  state.server_parser.reset();
+  state.events.clear();
+  state.sni.reset();
+  state.sni_searched = false;
+  state.gaps = 0;
+  state.gap_bytes = 0;
+  state.tls_skipped_accounted = 0;
+  state.tls_resyncs_accounted = 0;
+  state.index_hash = 0;
+  state.first_fin.reset();
+  free_slots_.push_back(slot);
 }
 
 void RecordStreamExtractor::index_insert(std::uint64_t hash,
-                                         FlowMap::iterator it) {
+                                         std::uint32_t slot) {
   // Grow (or purge tombstones) at 3/4 occupancy so probes stay short.
-  // The rebuild walks flows_, which already holds `it`, so it indexes
-  // the new flow too.
+  // The rebuild walks the slots, which already hold the new flow, so it
+  // indexes the new flow too.
   if (index_.empty() ||
       (index_live_ + index_tombstones_ + 1) * 4 > index_.size() * 3) {
     index_grow();
@@ -428,7 +420,7 @@ void RecordStreamExtractor::index_insert(std::uint64_t hash,
   std::size_t pos = hash & mask;
   while (index_[pos].hash >= 2) pos = (pos + 1) & mask;
   if (index_[pos].hash == 1) --index_tombstones_;
-  index_[pos] = IndexSlot{hash, it};
+  index_[pos] = IndexSlot{hash, slot};
   ++index_live_;
 }
 
@@ -439,16 +431,18 @@ void RecordStreamExtractor::index_grow() {
   index_tombstones_ = 0;
   index_live_ = 0;
   const std::size_t mask = capacity - 1;
-  for (FlowMap::iterator it = flows_.begin(); it != flows_.end(); ++it) {
-    std::size_t pos = it->second.index_hash & mask;
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    const std::uint64_t hash = slots_[slot].index_hash;
+    if (hash == 0) continue;  // free slot
+    std::size_t pos = hash & mask;
     while (index_[pos].hash != 0) pos = (pos + 1) & mask;
-    index_[pos] = IndexSlot{it->second.index_hash, it};
+    index_[pos] = IndexSlot{hash, slot};
     ++index_live_;
   }
 }
 
 void RecordStreamExtractor::process_items(
-    const net::FlowKey& key, PerFlow& state,
+    PerFlow& state,
     std::vector<net::TcpConnectionReassembler::DirectedItem>& items,
     std::vector<StreamEvent>& out) {
   for (auto& directed : items) {
@@ -466,7 +460,7 @@ void RecordStreamExtractor::process_items(
       obs::inc(metrics_.tcp_gaps);
       obs::inc(metrics_.tcp_gap_bytes, gap.length);
       StreamEvent event;
-      event.flow = key;
+      event.flow = state.key;
       event.kind = StreamEvent::Kind::kGap;
       event.gap = StreamGapEvent{gap.timestamp, directed.direction,
                                  gap.stream_offset, gap.length};
@@ -480,7 +474,7 @@ void RecordStreamExtractor::process_items(
     parsed_scratch_.clear();
     parser.feed(chunk.timestamp, chunk_bytes, parsed_scratch_);
     for (auto& parsed : parsed_scratch_) {
-      emit_record(key, state, directed.direction, parsed, out);
+      emit_record(state, directed.direction, parsed, out);
     }
     // The parser copied what it keeps, and the records' payload views
     // (read for SNI) are done with: the buffer can hold the next piece.
@@ -491,7 +485,7 @@ void RecordStreamExtractor::process_items(
   state.server_parser.trim();
 }
 
-void RecordStreamExtractor::emit_record(const net::FlowKey& key, PerFlow& state,
+void RecordStreamExtractor::emit_record(PerFlow& state,
                                         net::FlowDirection direction,
                                         TlsRecordParser::ParsedRecord& parsed,
                                         std::vector<StreamEvent>& out) {
@@ -529,7 +523,7 @@ void RecordStreamExtractor::emit_record(const net::FlowKey& key, PerFlow& state,
     obs::observe(metrics_.client_record_lengths, event.record_length);
   }
   if (config_.retain_events) state.events.push_back(event);
-  out.push_back(StreamEvent{key, StreamEvent::Kind::kRecord, event, {}});
+  out.push_back(StreamEvent{state.key, StreamEvent::Kind::kRecord, event, {}});
 }
 
 void RecordStreamExtractor::sync_tls_counters(PerFlow& state) {
@@ -545,37 +539,44 @@ void RecordStreamExtractor::sync_tls_counters(PerFlow& state) {
   state.tls_resyncs_accounted = resyncs;
 }
 
-void RecordStreamExtractor::complete_flow(FlowMap::iterator it,
+void RecordStreamExtractor::complete_flow(std::uint32_t slot,
                                           std::vector<StreamEvent>& out) {
-  const net::FlowKey key = it->first;
-  PerFlow& state = it->second;
+  PerFlow& state = slots_[slot];
   // The stream is over: give the parsers their end-of-stream chance to
   // re-lock with relaxed validation and emit trailing records.
   parsed_scratch_.clear();
   state.client_parser.flush(state.last_seen, parsed_scratch_);
   for (auto& parsed : parsed_scratch_) {
-    emit_record(key, state, net::FlowDirection::kClientToServer, parsed, out);
+    emit_record(state, net::FlowDirection::kClientToServer, parsed, out);
   }
   parsed_scratch_.clear();
   state.server_parser.flush(state.last_seen, parsed_scratch_);
   for (auto& parsed : parsed_scratch_) {
-    emit_record(key, state, net::FlowDirection::kServerToClient, parsed, out);
+    emit_record(state, net::FlowDirection::kServerToClient, parsed, out);
   }
   parsed_scratch_.clear();
   sync_tls_counters(state);
-  if (config_.retain_events) completed_.push_back(snapshot(key, state));
-  erase_flow(it);
+  if (config_.retain_events) completed_.push_back(snapshot(state));
+  erase_flow(slot);
   ++flows_completed_;
 }
 
 std::vector<StreamEvent> RecordStreamExtractor::flush() {
+  // Retire in FlowKey order, the order the differential suites pin.
+  std::vector<std::uint32_t> live;
+  live.reserve(active_flows());
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot].index_hash != 0) live.push_back(slot);
+  }
+  std::sort(live.begin(), live.end(), [this](std::uint32_t a, std::uint32_t b) {
+    return slots_[a].key < slots_[b].key;
+  });
   std::vector<StreamEvent> out;
-  while (!flows_.empty()) {
-    const auto it = flows_.begin();
-    PerFlow& state = it->second;
+  for (const std::uint32_t slot : live) {
+    PerFlow& state = slots_[slot];
     auto items = state.reassembler.flush(state.last_seen);
-    process_items(it->first, state, items, out);
-    complete_flow(it, out);
+    process_items(state, items, out);
+    complete_flow(slot, out);
   }
   return out;
 }
@@ -600,25 +601,21 @@ void RecordStreamExtractor::evict_idle(util::SimTime now) {
 
   const util::SimTime cutoff = now - config_.idle_timeout;
   std::uint64_t evicted = 0;
-  for (FlowMap::iterator it = flows_.begin(); it != flows_.end();) {
-    if (it->second.last_seen < cutoff) {
-      if (config_.retain_events) {
-        completed_.push_back(snapshot(it->first, it->second));
-      }
-      it = erase_flow(it);
-      ++evicted;
-    } else {
-      ++it;
-    }
+  // Eviction emits no events, so storage order will do.
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    const PerFlow& state = slots_[slot];
+    if (state.index_hash == 0 || !(state.last_seen < cutoff)) continue;
+    if (config_.retain_events) completed_.push_back(snapshot(state));
+    erase_flow(slot);
+    ++evicted;
   }
   flows_evicted_ += evicted;
   obs::inc(metrics_.flows_evicted, evicted);
 }
 
-FlowRecordStream RecordStreamExtractor::snapshot(const net::FlowKey& key,
-                                                 const PerFlow& state) const {
+FlowRecordStream RecordStreamExtractor::snapshot(const PerFlow& state) const {
   FlowRecordStream stream;
-  stream.flow = key;
+  stream.flow = state.key;
   stream.sni = state.sni;
   stream.events = state.events;
   stream.client_stream_bytes = state.reassembler.client_stream().delivered_bytes();
@@ -639,21 +636,26 @@ FlowRecordStream RecordStreamExtractor::snapshot(const net::FlowKey& key,
 std::vector<FlowRecordStream> RecordStreamExtractor::finish() {
   flush();
   std::vector<FlowRecordStream> out = completed_;
-  // Order by first event time (completed_ holds retirement order).
-  std::sort(out.begin(), out.end(),
-            [](const FlowRecordStream& a, const FlowRecordStream& b) {
-              const util::SimTime ta =
-                  a.events.empty() ? util::SimTime() : a.events.front().timestamp;
-              const util::SimTime tb =
-                  b.events.empty() ? util::SimTime() : b.events.front().timestamp;
-              return ta < tb;
-            });
+  // Order by first event time, then FlowKey, so the order does not
+  // depend on when each flow retired (completed_ holds retirement
+  // order, which keeps ties on one reused 4-tuple in sequence).
+  const auto first_event = [](const FlowRecordStream& stream) {
+    return stream.events.empty() ? util::SimTime()
+                                 : stream.events.front().timestamp;
+  };
+  std::stable_sort(out.begin(), out.end(),
+                   [&](const FlowRecordStream& a, const FlowRecordStream& b) {
+                     const util::SimTime ta = first_event(a);
+                     const util::SimTime tb = first_event(b);
+                     if (ta != tb) return ta < tb;
+                     return a.flow < b.flow;
+                   });
   return out;
 }
 
 std::size_t RecordStreamExtractor::buffered_reassembly_bytes() const {
   std::size_t total = 0;
-  for (const auto& [key, state] : flows_) total += state.reassembler.buffered_bytes();
+  for (const PerFlow& state : slots_) total += state.reassembler.buffered_bytes();
   return total;
 }
 
@@ -668,18 +670,23 @@ std::size_t RecordStreamExtractor::memory_bytes() const {
     }
     return bytes;
   };
-  std::size_t total = arena_->stats().live_bytes +
+  std::size_t total = slots_.size() * sizeof(PerFlow) +
+                      free_slots_.capacity() * sizeof(std::uint32_t) +
                       index_.capacity() * sizeof(IndexSlot) +
-                      pool_.capacity() * sizeof(PerFlow) + holds_.memory_bytes();
-  for (const auto& [key, state] : flows_) total += held(state);
-  for (const PerFlow& shell : pool_) total += held(shell);
+                      holds_.memory_bytes();
+  for (const PerFlow& state : slots_) total += held(state);
   return total;
 }
 
 std::optional<std::string> RecordStreamExtractor::sni_of(
     const net::FlowKey& flow) const {
-  const auto it = flows_.find(flow);
-  return it == flows_.end() ? std::nullopt : it->second.sni;
+  net::FlowDirection direction = net::FlowDirection::kClientToServer;
+  const std::uint32_t slot = find_flow(index_key(flow.client, flow.server),
+                                       flow.client, flow.server, direction);
+  if (slot == kNoSlot || direction != net::FlowDirection::kClientToServer) {
+    return std::nullopt;
+  }
+  return slots_[slot].sni;
 }
 
 std::vector<FlowRecordStream> extract_record_streams(

@@ -8,8 +8,8 @@
 // the record-stream extractor: its slab paths, over owned packets and
 // over stable views, must reproduce the per-packet feed() oracle
 // event for event (counters and stable metrics too) across capture
-// impairments. Finally, the arena/pool-backed flow state must preserve
-// idle-sweep behaviour and hand out clean recycled state.
+// impairments. Finally, the extractor's reusable flow slots must
+// preserve idle-sweep behaviour and hand out clean recycled state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -391,7 +391,7 @@ TEST(SlabDecode, ExtractorSlabPathsMatchScalarAcrossImpairments) {
   }
 }
 
-// --- arena-backed flow state: eviction and recycling ------------------
+// --- flow slots: eviction and reuse -----------------------------------
 
 tls::TlsSessionConfig tls_config() {
   tls::TlsSessionConfig config;
@@ -431,7 +431,7 @@ std::vector<net::Packet> tls_connection(std::uint16_t port, double start,
   return conn.take_packets();
 }
 
-TEST(SlabDecode, IdleSweepEvictsOnlyIdleFlowsFromArenaState) {
+TEST(SlabDecode, IdleSweepEvictsOnlyIdleFlows) {
   tls::RecordStreamExtractor::Config config;
   config.idle_timeout = Duration::seconds(5);
   tls::RecordStreamExtractor extractor(config);
@@ -492,8 +492,6 @@ TEST(SlabDecode, IdleSweepEvictsOnlyIdleFlowsFromArenaState) {
   }
   EXPECT_EQ(client_app, 2u);
   EXPECT_EQ(extractor.peak_active_flows(), 2u);
-  // Arena stats are live and accounted (flow nodes allocated/released).
-  EXPECT_GT(extractor.arena().stats().allocations, 0u);
 }
 
 TEST(SlabDecode, RecycledFlowStateStartsClean) {
@@ -522,8 +520,8 @@ TEST(SlabDecode, RecycledFlowStateStartsClean) {
   EXPECT_GT(extractor.tls_bytes_skipped(), 0u);
   EXPECT_EQ(extractor.sweep_idle(SimTime::from_seconds(10.0)), 1u);
 
-  // Flow 2 reuses the pooled per-flow state; nothing of flow 1's
-  // desync may bleed into it.
+  // Flow 2 reuses flow 1's slot; nothing of flow 1's desync may bleed
+  // into it.
   std::vector<tls::StreamEvent> events;
   for (const net::Packet& packet : tls_connection(52002, 11.0, {2188})) {
     for (tls::StreamEvent& event : extractor.feed(packet)) {
@@ -552,8 +550,8 @@ TEST(SlabDecode, RecycledFlowStateStartsClean) {
 TEST(SlabDecode, FlushRetiresFlowsInFlowKeyOrder) {
   // Three live flows inserted in descending client-port order; flush()
   // must still deliver their events grouped in ascending FlowKey order
-  // — the retirement order the differential suites rely on, preserved
-  // across the arena/index rebuild.
+  // — the retirement order the differential suites rely on, whatever
+  // slots the flows occupy.
   tls::RecordStreamExtractor extractor;
   for (const std::uint16_t port : {53005, 53003, 53001}) {
     std::vector<net::Packet> packets =
@@ -589,6 +587,27 @@ TEST(SlabDecode, FlushRetiresFlowsInFlowKeyOrder) {
   }
   EXPECT_EQ(retirement_order,
             (std::vector<std::uint16_t>{53001, 53003, 53005}));
+
+  // Flows with equal first-event times, opened in descending FlowKey
+  // order and evicted by the idle sweep (which walks slots in storage
+  // order): finish() breaks the tie by FlowKey, not retirement order.
+  tls::RecordStreamExtractor::Config config;
+  config.idle_timeout = Duration::seconds(5);
+  tls::RecordStreamExtractor swept(config);
+  for (const std::uint16_t port : {53015, 53013, 53011}) {
+    for (const net::Packet& packet : tls_connection(port, 0.0, {2188})) {
+      swept.feed(packet);
+    }
+  }
+  ASSERT_EQ(swept.sweep_idle(SimTime::from_seconds(10.0)), 3u);
+  const std::vector<tls::FlowRecordStream> streams = swept.finish();
+  std::vector<std::uint16_t> stream_order;
+  for (const tls::FlowRecordStream& stream : streams) {
+    ASSERT_FALSE(stream.events.empty());
+    EXPECT_EQ(stream.events.front().timestamp, streams[0].events.front().timestamp);
+    stream_order.push_back(stream.flow.client.port);
+  }
+  EXPECT_EQ(stream_order, (std::vector<std::uint16_t>{53011, 53013, 53015}));
 }
 
 }  // namespace

@@ -396,6 +396,20 @@ TEST(RecordStreamExtractor, ClosedFlowsRetireAtTeardown) {
   stripped.feed_batch(session.data(), session.size(), stripped_events);
   EXPECT_EQ(stripped.flows_closed(), 0u);
   EXPECT_EQ(events.size(), workload.sessions * stripped_events.size());
+
+  // Retired flows leave their slots for the next flows: with every flow
+  // retired, the table holds no more slots than the peak of live flows.
+  // `single` retired one session, so it holds one slot plus the index;
+  // each further slot may cost at most the 1,536 B a live flow does
+  // (LiveFlowStateStaysSmallAndEventsUnchanged). This in-order fleet
+  // leaves no spare hold buffers.
+  RecordStreamExtractor single(config);
+  std::vector<StreamEvent> single_events;
+  const std::vector<net::Packet> closed = fleet.session_template();
+  single.feed_batch(closed.data(), closed.size(), single_events);
+  ASSERT_EQ(single.flows_closed(), 1u);
+  EXPECT_LE(extractor.memory_bytes(),
+            single.memory_bytes() + (extractor.peak_active_flows() - 1) * 1536u);
   EXPECT_TRUE(extractor.flush().empty());
 }
 
