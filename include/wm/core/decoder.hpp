@@ -44,15 +44,6 @@ struct InferredSession {
   [[nodiscard]] std::vector<story::Choice> choices() const;
 };
 
-/// A span of stream bytes the reassembler declared unrecoverable, as
-/// seen by the decoder. Feeding the gap timeline in lets the decoder
-/// flag inferences that straddle a hole as low-confidence instead of
-/// silently reporting them at full strength.
-struct GapSpan {
-  util::SimTime at;            // when the gap was declared
-  std::uint64_t bytes = 0;     // stream bytes it covered
-};
-
 /// Duplicate-suppression window for adjacent type-1 classifications
 /// (retransmission artifacts / band misfires).
 inline constexpr util::Duration kMinQuestionGap = util::Duration::millis(120);

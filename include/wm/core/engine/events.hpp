@@ -1,6 +1,6 @@
 // Typed event API for live inference consumers. The producers are
-// wm::monitor::ContinuousMonitor and MonitorFleet (the batch engine
-// emits nothing live; its finish() result is the batch answer). An
+// wm::monitor::ContinuousMonitor and MonitorFleet (batch inference
+// emits nothing live; its InferReport is the batch answer). An
 // EventSink receives the four moments a monitoring consumer cares
 // about, named:
 //

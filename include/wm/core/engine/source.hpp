@@ -1,6 +1,6 @@
-// Packet sources for the streaming engine.
+// Packet sources for inference and the monitor fleet.
 //
-// The engine consumes packets through one interface regardless of
+// Both consume packets through one interface regardless of
 // where they come from: a capture file on disk (classic pcap or
 // pcapng, streamed record by record — the file is never loaded whole)
 // or an in-memory packet vector (simulator output, tests).

@@ -1,20 +1,21 @@
-// Aggregate counters reported by the streaming engine.
+// Capture totals of one core::extract_observations pass.
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace wm::engine {
 
-/// Totals for one engine run, read at finish().
+/// Totals for one pass over a packet source.
 struct EngineStats {
-  std::uint64_t packets_in = 0;        // packets offered to the engine
+  std::uint64_t packets_in = 0;        // packets read from the source
   std::uint64_t bytes_in = 0;          // capture bytes offered (frame sizes)
   std::uint64_t packets_undecodable = 0;
   std::uint64_t records = 0;           // TLS records parsed (all types)
   std::uint64_t client_records = 0;    // client->server application data
-  std::uint64_t type1_records = 0;     // classified question markers
-  std::uint64_t type2_records = 0;     // classified override markers
+  /// Classified question / override markers, counted by infer()'s
+  /// combined decode (extraction needs no classifier and leaves them 0).
+  std::uint64_t type1_records = 0;
+  std::uint64_t type2_records = 0;
   std::uint64_t flows_opened = 0;
   std::uint64_t flows_evicted = 0;
   std::uint64_t flows_completed = 0;  // retired cleanly (teardown / flush)
@@ -32,8 +33,6 @@ struct EngineStats {
   /// tail). infer() never throws for these: whatever decoded before
   /// the error stands, and this count says the stream ended abnormally.
   std::uint64_t source_errors = 0;
-
-  [[nodiscard]] std::string to_string() const;
 };
 
 }  // namespace wm::engine

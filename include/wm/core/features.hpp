@@ -1,16 +1,28 @@
-// Feature extraction for the attack: from a capture (or pre-extracted
-// record streams) to the sequence of client-side application-data
-// record lengths — the side-channel of §III — plus honest labelling of
-// calibration traces from ground truth.
+// Feature extraction for the attack: from packets to each viewer's
+// sequence of client-side application-data record lengths — the
+// side-channel of §III — and the stream gaps beside it, plus honest
+// labelling of calibration traces from ground truth.
+//
+// extract_observations() is the one packets-to-observations path:
+// calibration, fingerprinting and inference all read through it.
+//
+//     PacketSource --read_views / read_batch--> RecordStreamExtractor
+//       (slab decode -> reassemble -> TLS records)
+//       -> per-viewer observation + client gap logs
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "wm/core/engine/source.hpp"
+#include "wm/core/engine/stats.hpp"
 #include "wm/net/packet.hpp"
+#include "wm/net/reassembly.hpp"
+#include "wm/obs/registry.hpp"
 #include "wm/sim/streaming.hpp"
-#include "wm/tls/record_stream.hpp"
+#include "wm/util/time.hpp"
 
 namespace wm::core {
 
@@ -39,21 +51,66 @@ struct ClientRecordObservation {
 bool observation_before(const ClientRecordObservation& a,
                         const ClientRecordObservation& b);
 
+/// A span of stream bytes the reassembler declared unrecoverable, as
+/// seen by the decoder. Feeding the gap timeline in lets the decoder
+/// flag inferences that straddle a hole as low-confidence instead of
+/// silently reporting them at full strength.
+struct GapSpan {
+  util::SimTime at;            // when the gap was declared
+  std::uint64_t bytes = 0;     // stream bytes it covered
+};
+
+/// One viewer's evidence: its client->server application records and
+/// the client->server reassembly gaps of its flows.
+struct ViewerLog {
+  /// In observation_before order.
+  std::vector<ClientRecordObservation> observations;
+  /// In delivery order (decode_choices sorts its own copy).
+  std::vector<GapSpan> gaps;
+};
+
+/// Everything one pass over a packet source yields.
+struct ObservationLogs {
+  /// Keyed by client address; only viewers with at least one
+  /// observation (a gap-only viewer has nothing to decode).
+  std::map<std::string, ViewerLog> viewers;
+  /// Capture totals. type1_records/type2_records stay zero: counting
+  /// them needs a classifier, and the decode counts them.
+  engine::EngineStats stats;
+
+  /// All viewers as one stream: every observation in observation_before
+  /// order, every viewer's gaps.
+  [[nodiscard]] ViewerLog combined() const;
+};
+
+/// Pull `source` to exhaustion through one RecordStreamExtractor on the
+/// calling thread, then flush every live flow, so records cut off
+/// mid-capture still count. Probes the zero-copy read_views() path
+/// once; a source that serves stable views (mmap capture, in-memory
+/// vector) is read through them, and reassembly holds borrowed spans.
+/// Other sources fall back to read_batch().
+///
+/// `flow_idle_timeout` evicts reassembly and parser state of flows idle
+/// that long (zero = never); `reassembly` tunes every flow's
+/// reassembler. With `metrics` set, the extractor's counters roll up
+/// into the stable "engine." totals over an "engine.extractor."
+/// breakdown, and engine.packets_in, engine.collector.viewers and
+/// engine.collector.gaps count as the pass runs. Null = no overhead.
+ObservationLogs extract_observations(
+    engine::PacketSource& source, util::Duration flow_idle_timeout = {},
+    const net::TcpStreamReassembler::Config& reassembly = {},
+    obs::Registry* metrics = nullptr);
+
+/// Convenience: packets -> every client record observation, all viewers
+/// as one stream (ObservationLogs::combined().observations).
+std::vector<ClientRecordObservation> extract_client_records(
+    const std::vector<net::Packet>& packets);
+
 /// A labelled observation (calibration data).
 struct LabeledObservation {
   ClientRecordObservation observation;
   RecordClass label = RecordClass::kOther;
 };
-
-/// Pull every client->server application-data record out of a set of
-/// record streams, in observation_before order. This is the attacker's
-/// feature view.
-std::vector<ClientRecordObservation> extract_client_records(
-    const std::vector<tls::FlowRecordStream>& streams);
-
-/// Convenience: packets -> client record observations.
-std::vector<ClientRecordObservation> extract_client_records(
-    const std::vector<net::Packet>& packets);
 
 /// Label calibration observations against ground truth the way the
 /// paper's researchers did: the state upload emitted when question Qi

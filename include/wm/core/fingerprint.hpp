@@ -69,7 +69,9 @@ class ConditionFingerprinter {
       const std::vector<ClientRecordObservation>& observations) const;
 
   /// Full attack without prior platform knowledge: fingerprint, then
-  /// decode with the matched per-condition classifier.
+  /// decode with the matched per-condition classifier — the same
+  /// observations and gap spans the matched pipeline's infer() decodes
+  /// as its combined session.
   struct [[nodiscard]] Result {
     std::optional<sim::OperationalConditions> conditions;
     InferredSession session;

@@ -1,7 +1,9 @@
 // End-to-end attack pipeline: packets (from any PacketSource) in,
 // inferred choices out. Bundles calibration (training sessions ->
-// fitted classifier) and inference (capture -> record stream ->
-// classify -> decode -> optional path reconstruction).
+// fitted classifier) and inference (capture -> observations ->
+// classify -> decode -> optional path reconstruction). Both phases
+// reach the client records through core::extract_observations, the one
+// packets-to-observations path (features.hpp).
 //
 // The inference surface is a single entry point,
 //
@@ -9,8 +11,8 @@
 //
 // whose options carry every knob that used to multiply overloads:
 // per-client splitting, story-graph path reconstruction and flow
-// eviction. Live per-viewer events come from
-// wm::monitor::ContinuousMonitor / MonitorFleet instead.
+// eviction. It runs on the calling thread and produces no live events;
+// those come from wm::monitor::ContinuousMonitor / MonitorFleet.
 // File-based inference goes through infer_capture(), which reports
 // typed errors. The historic vector/path convenience overloads are
 // gone; wrap a vector in engine::VectorSource and set
@@ -25,7 +27,8 @@
 #include <vector>
 
 #include "wm/core/decoder.hpp"
-#include "wm/core/engine/engine.hpp"
+#include "wm/core/engine/source.hpp"
+#include "wm/core/engine/stats.hpp"
 #include "wm/core/eval.hpp"
 #include "wm/core/features.hpp"
 #include "wm/obs/registry.hpp"
@@ -56,7 +59,8 @@ struct InferOptions {
   /// When set, reconstruct the watched path through this story graph
   /// from the combined choice sequence; fills InferReport::path.
   const story::StoryGraph* story = nullptr;
-  /// Evict idle per-flow analysis state (0 = never; see EngineConfig).
+  /// Evict per-flow reassembly and parser state idle longer than this
+  /// (0 = never, batch semantics). Observations survive eviction.
   util::Duration flow_idle_timeout{};
   /// Per-flow TCP reassembly tuning: reorder window (bytes/segments)
   /// before a head-of-line hole is declared a StreamGap, and the

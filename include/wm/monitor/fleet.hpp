@@ -1,12 +1,11 @@
 // wm::monitor::MonitorFleet — the continuous monitor, scaled past one
-// core the way the engine scaled flow decoding: partition the traffic,
-// give every partition a private single-threaded monitor, and keep the
-// event path merge-free.
+// core: partition the traffic, give every partition a private
+// single-threaded monitor, and keep the event path merge-free.
 //
 // Topology: M packet sources fan into N shards over M×N batched SPSC
 // rings (one ring per (source, shard) pair, so every ring keeps exactly
-// one producer and one consumer and the engine's lock-free handoff
-// applies unchanged). Each source slot has one router that sends every
+// one producer and one consumer and util::SpscRing's lock-free
+// handoff applies). Each source slot has one router that sends every
 // packet by net::viewer_shard_hash, so all traffic from one subscriber
 // address lands on one shard. Who drives the router depends on the
 // source:

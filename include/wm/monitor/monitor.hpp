@@ -1,8 +1,8 @@
 // wm::monitor — always-on continuous inference over live traffic.
 //
-// The batch pipeline and the batch engine are replay-oriented: both
-// collect every observation and only decode answers when the capture
-// ends. A monitoring vantage point (the paper's §VI passive
+// The batch pipeline is replay-oriented: it collects every
+// observation (core::extract_observations) and only decodes answers
+// when the capture ends. A monitoring vantage point (the paper's §VI passive
 // eavesdropper; the clinic-visit and platform-characterization settings
 // in related work) never reaches end-of-capture — packets arrive
 // forever, from an unbounded set of viewers — so the system must
@@ -17,7 +17,7 @@
 //
 // ContinuousMonitor is the single-threaded composition of those parts:
 // one TLS record-stream extractor fed slab-decoded frames (the batch
-// engine's decoder), one hierarchical timer wheel
+// pipeline's decoder), one hierarchical timer wheel
 // (flow-idle sweeps, viewer-idle eviction, per-question evidence
 // windows), and one core::ChoiceDecoder per viewer — the same
 // incremental decoder core::decode_choices drives over a whole log; the
@@ -32,7 +32,7 @@
 // (b) the viewer was not shed by a memory ceiling. Confidence values
 // match except for gaps that arrive only after a question's window
 // already closed — batch settles a question only when its successor
-// opens and so sees those, an online emitter cannot. The batch engine
+// opens and so sees those, an online emitter cannot. Batch inference
 // runs on the caller's thread; for multi-core analysis run a
 // MonitorFleet, which shards viewers across one monitor per worker.
 #pragma once

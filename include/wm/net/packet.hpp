@@ -118,8 +118,8 @@ std::optional<DecodedPacket> decode_packet(const Packet& packet);
 // protocol layer, so each layer's branch pattern stays predictable on
 // homogeneous traffic). Both must classify every frame exactly like
 // decode_packet() — that three-way equivalence is pinned by the
-// slab differential tests and is the contract the engine's
-// scalar-oracle mode checks end to end.
+// slab differential tests and by the extractor's slab paths against
+// its per-packet feed().
 
 /// What the hot path needs to know about a frame.
 enum class LensStatus : std::uint8_t {

@@ -83,11 +83,11 @@ struct StreamEvent {
 ///
 ///  * Batch: feed_batch() every packet (extract_record_streams() does
 ///    so in slab runs), then finish() for one FlowRecordStream per flow.
-///  * Resumable (the engine and the monitors): feed_batch()/feed_lens()
-///    return the records each packet completed, so analysis proceeds
-///    as traffic arrives. With Config::retain_events=false and an idle
-///    timeout set, memory stays bounded by the number of *live* flows,
-///    not capture length.
+///  * Resumable (core::extract_observations and the monitors):
+///    feed_batch()/feed_lens() return the records each packet
+///    completed, so analysis proceeds as traffic arrives. With
+///    Config::retain_events=false and an idle timeout set, memory stays
+///    bounded by the number of *live* flows, not capture length.
 ///
 /// A flow retires (parsers flushed, state freed) at TCP teardown: on
 /// an RST, or when the active closer ACKs the peer's FIN after both
@@ -217,8 +217,6 @@ class RecordStreamExtractor {
   /// spare hold buffers. Walks every slot, so it is for tests and
   /// diagnostics, not for the per-packet path.
   [[nodiscard]] std::size_t memory_bytes() const;
-  /// The SNI observed on a flow, if its ClientHello has been parsed.
-  [[nodiscard]] std::optional<std::string> sni_of(const net::FlowKey& flow) const;
 
   /// Timer-driven idle eviction: evict every flow idle past
   /// Config::idle_timeout as of `now`, bypassing the packet-cadence

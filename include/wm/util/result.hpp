@@ -2,9 +2,9 @@
 //
 // The attack tooling historically reported capture-file failures by
 // throwing std::runtime_error from deep inside the pcap readers, which
-// left callers (CLI tools, the streaming engine) no way to distinguish
+// left callers (CLI tools, the inference pipeline) no way to distinguish
 // "file missing" from "file corrupt" without string matching. Result<T>
-// carries either the value or a typed Error, and the engine's
+// carries either the value or a typed Error, and the
 // PacketSource implementations propagate it instead of throwing.
 #pragma once
 

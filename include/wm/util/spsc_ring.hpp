@@ -1,8 +1,11 @@
 // Bounded single-producer / single-consumer ring buffer.
 //
-// The engine's dispatcher→shard handoff is structurally SPSC: exactly
-// one thread feeds each shard queue and exactly one worker drains it.
-// This ring makes that handoff lock-free in the steady state — one
+// The monitor fleet's handoffs are structurally SPSC: on each link
+// between a packet producer (the fleet's pump, or a bound tap's
+// injecting thread) and a shard worker, exactly one thread routes
+// packets in and the one worker drains them, and the worker hands
+// spent frame buffers back the other way on a second ring. This ring
+// makes those handoffs lock-free in the steady state — one
 // release store and one acquire load per operation, with cached
 // counterpart indices so an uncontended push/pop touches a single
 // shared cache line — and keeps a mutex/condvar pair strictly for the

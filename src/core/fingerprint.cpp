@@ -89,13 +89,18 @@ std::optional<sim::OperationalConditions> ConditionFingerprinter::identify(
 ConditionFingerprinter::Result ConditionFingerprinter::infer(
     const std::vector<net::Packet>& packets) const {
   Result result;
-  const auto observations = extract_client_records(packets);
-  result.conditions = identify(observations);
+  // The evidence infer() decodes: every viewer as one stream, with the
+  // client gap spans beside it.
+  engine::VectorSource source(&packets);
+  ViewerLog evidence = extract_observations(source).combined();
+  result.conditions = identify(evidence.observations);
   if (!result.conditions) return result;
   for (const FingerprintEntry& entry : library_) {
     if (entry.conditions == *result.conditions) {
-      result.session =
-          decode_choices(entry.pipeline->classifier(), observations);
+      DecodeOptions options;
+      options.gaps = std::move(evidence.gaps);
+      result.session = decode_choices(entry.pipeline->classifier(),
+                                      evidence.observations, options);
       break;
     }
   }

@@ -49,15 +49,10 @@ InferReport AttackPipeline::infer(engine::PacketSource& source,
       options.metrics != nullptr ? options.metrics : metrics_;
   const obs::StageTimer timer(registry, "pipeline.infer");
 
-  engine::EngineConfig config;
-  config.flow_idle_timeout = options.flow_idle_timeout;
-  config.reassembly = options.reassembly;
-  config.metrics = registry;
-  engine::EngineResult result = engine::analyze(*classifier_, source, config);
-
+  ObservationLogs logs = extract_observations(
+      source, options.flow_idle_timeout, options.reassembly, registry);
   InferReport report;
-  report.combined = std::move(result.combined);
-  report.stats = result.stats;
+  report.stats = logs.stats;
   // A mid-stream source failure (truncated record, corrupt framing) is
   // a data-quality fact, not a control-flow event: count it and keep
   // everything that decoded before the stream died.
@@ -67,8 +62,31 @@ InferReport AttackPipeline::infer(engine::PacketSource& source,
       registry->counter("pipeline.source_errors", obs::Stability::kStable)->add(1);
     }
   }
+  ViewerLog all = logs.combined();
+  DecodeOptions combined_options;
+  combined_options.gaps = std::move(all.gaps);
+  report.combined = decode_choices(*classifier_, all.observations, combined_options);
+  report.stats.type1_records = report.combined.type1_records;
+  report.stats.type2_records = report.combined.type2_records;
+  if (registry != nullptr) {
+    // The class parts before their total: a snapshot that reads the
+    // total first (map order: "...client_records" < "...other" <
+    // "...type1") then the parts can never see parts < total.
+    registry->counter("engine.collector.type1", obs::Stability::kStable)
+        ->add(report.combined.type1_records);
+    registry->counter("engine.collector.type2", obs::Stability::kStable)
+        ->add(report.combined.type2_records);
+    registry->counter("engine.collector.other", obs::Stability::kStable)
+        ->add(report.combined.other_records);
+    registry->counter("engine.collector.client_records", obs::Stability::kStable)
+        ->add(report.stats.client_records);
+  }
   if (options.per_client) {
-    for (auto& [client, session] : result.per_client) {
+    for (auto& [client, log] : logs.viewers) {
+      DecodeOptions viewer_options;
+      viewer_options.gaps = std::move(log.gaps);
+      InferredSession session =
+          decode_choices(*classifier_, log.observations, viewer_options);
       // Only report clients that look like interactive-video viewers.
       if (session.questions.empty()) continue;
       report.per_client.emplace(client, std::move(session));

@@ -678,17 +678,6 @@ std::size_t RecordStreamExtractor::memory_bytes() const {
   return total;
 }
 
-std::optional<std::string> RecordStreamExtractor::sni_of(
-    const net::FlowKey& flow) const {
-  net::FlowDirection direction = net::FlowDirection::kClientToServer;
-  const std::uint32_t slot = find_flow(index_key(flow.client, flow.server),
-                                       flow.client, flow.server, direction);
-  if (slot == kNoSlot || direction != net::FlowDirection::kClientToServer) {
-    return std::nullopt;
-  }
-  return slots_[slot].sni;
-}
-
 std::vector<FlowRecordStream> extract_record_streams(
     const std::vector<net::Packet>& packets) {
   // Slab-decoded runs; the events are retained for finish(), so each

@@ -1,8 +1,9 @@
-// The engine against the batch feature path: incremental analysis must
-// reproduce the whole-capture decode of extract_client_records exactly,
-// combined and per viewer, and must separate interleaved viewers, bound
-// its flow state under long replays, reject a nonzero shard count, and
-// report capture failures as typed Results instead of exceptions.
+// Inference against an independent reference: infer() must reproduce
+// the decode of every client record pulled from
+// tls::extract_record_streams exactly, combined and per viewer, and
+// must separate interleaved viewers, bound its flow state under long
+// replays, reject a nonzero shard count, and report capture failures
+// as typed Results instead of exceptions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,17 +16,34 @@
 
 #include "chunked_replay.hpp"
 #include "teardown.hpp"
-#include "wm/core/engine/engine.hpp"
 #include "wm/core/engine/source.hpp"
 #include "wm/core/pipeline.hpp"
 #include "wm/net/pcap.hpp"
 #include "wm/sim/session.hpp"
 #include "wm/story/bandersnatch.hpp"
+#include "wm/tls/record_stream.hpp"
 
 namespace wm::core {
 namespace {
 
 using story::Choice;
+
+/// The reference feature view, built without core::extract_observations:
+/// every client->server application record of `streams`, in
+/// observation_before order.
+std::vector<ClientRecordObservation> client_records(
+    const std::vector<tls::FlowRecordStream>& streams) {
+  std::vector<ClientRecordObservation> out;
+  for (const tls::FlowRecordStream& stream : streams) {
+    for (const tls::RecordEvent& event : stream.events) {
+      if (!event.is_client_application_data()) continue;
+      out.push_back(ClientRecordObservation{event.timestamp, event.record_length,
+                                            event.after_gap});
+    }
+  }
+  std::sort(out.begin(), out.end(), observation_before);
+  return out;
+}
 
 std::vector<Choice> alternating(std::size_t n, bool start_non_default) {
   std::vector<Choice> out;
@@ -105,12 +123,12 @@ TEST(Engine, OutputIdenticalToBatchFeaturePath) {
   const AttackPipeline pipeline = calibrated_pipeline(graph);
   const MergedCapture merged = make_merged_capture(graph, 3);
 
-  // Golden reference: the primitive batch path (extract everything,
-  // decode once), exactly what AttackPipeline::infer() historically did.
+  // Golden reference: the primitive batch path (extract every flow's
+  // record stream, decode once).
   const std::vector<tls::FlowRecordStream> streams =
       tls::extract_record_streams(merged.packets);
   const InferredSession golden_combined =
-      decode_choices(pipeline.classifier(), extract_client_records(streams));
+      decode_choices(pipeline.classifier(), client_records(streams));
 
   // Per-viewer reference: the same batch path over each viewer's own
   // flows.
@@ -133,7 +151,7 @@ TEST(Engine, OutputIdenticalToBatchFeaturePath) {
     expect_sessions_identical(
         report.per_client.at(client),
         decode_choices(pipeline.classifier(),
-                       extract_client_records(by_client.at(client))),
+                       client_records(by_client.at(client))),
         "client " + client);
   }
 }

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "wm/core/fingerprint.hpp"
+#include "wm/sim/impairments.hpp"
 #include "wm/sim/session.hpp"
 #include "wm/story/bandersnatch.hpp"
+#include "wm/util/rng.hpp"
 
 namespace wm::core {
 namespace {
@@ -109,6 +111,61 @@ TEST(Fingerprint, PaddedTrafficYieldsNoPlausibleHypothesis) {
   const auto observations = extract_client_records(victim.capture.packets);
   const auto identified = library().identify(observations);
   EXPECT_FALSE(identified.has_value());
+}
+
+TEST(Fingerprint, DecodesTheEvidenceInferDecodes) {
+  // On lossy captures the fingerprinter's session must be the matched
+  // pipeline's infer().combined: the same observations, and the same
+  // client gap spans tainting the same questions.
+  std::vector<CalibrationSession> calibration;
+  for (std::uint64_t s = 0; s < 3; ++s) {
+    sim::SessionConfig config;
+    config.seed = 6100 + s;
+    std::vector<Choice> alternating;
+    for (int i = 0; i < 13; ++i) {
+      alternating.push_back(i % 2 == 0 ? Choice::kNonDefault : Choice::kDefault);
+    }
+    auto session = sim::simulate_session(graph(), alternating, config);
+    calibration.push_back(CalibrationSession{std::move(session.capture.packets),
+                                             std::move(session.truth)});
+  }
+  auto pipeline = std::make_shared<AttackPipeline>("interval");
+  pipeline->calibrate(calibration);
+  ConditionFingerprinter fingerprinter;
+  fingerprinter.add(sim::OperationalConditions{}, pipeline);
+
+  std::size_t tainted = 0;
+  for (std::uint64_t seed = 6300; seed < 6310; ++seed) {
+    const auto victim = victim_session(sim::OperationalConditions{}, seed);
+    util::Rng rng(seed);
+    const std::vector<net::Packet> lossy =
+        sim::drop_segments(victim.capture.packets, 0.05, rng);
+    const auto result = fingerprinter.infer(lossy);
+    ASSERT_TRUE(result.conditions.has_value()) << "seed " << seed;
+    engine::VectorSource source(&lossy);
+    const InferredSession want = pipeline->infer(source).combined;
+    const InferredSession& got = result.session;
+    const std::string context = "seed " + std::to_string(seed);
+    ASSERT_EQ(got.questions.size(), want.questions.size()) << context;
+    for (std::size_t i = 0; i < got.questions.size(); ++i) {
+      EXPECT_EQ(got.questions[i].index, want.questions[i].index) << context;
+      EXPECT_EQ(got.questions[i].question_time, want.questions[i].question_time)
+          << context;
+      EXPECT_EQ(got.questions[i].choice, want.questions[i].choice) << context;
+      EXPECT_EQ(got.questions[i].override_time, want.questions[i].override_time)
+          << context;
+      EXPECT_EQ(got.questions[i].confidence, want.questions[i].confidence)
+          << context << " Q" << i + 1;
+      EXPECT_EQ(got.questions[i].evidence, want.questions[i].evidence)
+          << context << " Q" << i + 1;
+      if (want.questions[i].confidence < 1.0) ++tainted;
+    }
+    EXPECT_EQ(got.type1_records, want.type1_records) << context;
+    EXPECT_EQ(got.type2_records, want.type2_records) << context;
+    EXPECT_EQ(got.other_records, want.other_records) << context;
+  }
+  // The loss reached the evidence: some questions decode tainted.
+  EXPECT_GT(tainted, 0u);
 }
 
 TEST(Fingerprint, EmptyCaptureAbstains) {

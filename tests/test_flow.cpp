@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "wm/net/packet_builder.hpp"
+#include "wm/tls/record_stream.hpp"
 
 namespace wm::net {
 namespace {
@@ -26,80 +27,59 @@ Packet tcp_packet(double t, Ipv4Address src, std::uint16_t sport, Ipv4Address ds
 const Ipv4Address kClient(10, 0, 0, 2);
 const Ipv4Address kServer(198, 51, 100, 1);
 
-TEST(FlowTable, SynEstablishesClientOrientation) {
-  FlowTable table;
-  const auto decoded =
-      decode_packet(tcp_packet(0.0, kClient, 50000, kServer, 443, true, false, 0));
-  ASSERT_TRUE(decoded.has_value());
-  const auto assignment = table.add(*decoded, 0);
-  ASSERT_TRUE(assignment.has_value());
-  EXPECT_EQ(assignment->direction, FlowDirection::kClientToServer);
-  EXPECT_EQ(assignment->key.client.port, 50000);
-  EXPECT_EQ(assignment->key.server.port, 443);
-
-  // Reply maps to the same flow, opposite direction.
-  const auto reply =
-      decode_packet(tcp_packet(0.1, kServer, 443, kClient, 50000, true, true, 0));
-  const auto reply_assignment = table.add(*reply, 1);
-  ASSERT_TRUE(reply_assignment.has_value());
-  EXPECT_EQ(reply_assignment->key, assignment->key);
-  EXPECT_EQ(reply_assignment->direction, FlowDirection::kServerToClient);
-  EXPECT_EQ(table.size(), 1u);
+/// The flows the extractor opened for `packets`, in its finish() order.
+std::vector<tls::FlowRecordStream> flows_of(const std::vector<Packet>& packets) {
+  tls::RecordStreamExtractor extractor;
+  std::vector<tls::StreamEvent> events;
+  extractor.feed_batch(packets.data(), packets.size(), events);
+  return extractor.finish();
 }
 
-TEST(FlowTable, MidStreamServicePortHeuristic) {
-  FlowTable table;
-  // First observed packet comes FROM the server (mid-capture).
-  const auto decoded =
-      decode_packet(tcp_packet(0.0, kServer, 443, kClient, 50001, false, true, 100));
-  const auto assignment = table.add(*decoded, 0);
-  ASSERT_TRUE(assignment.has_value());
-  EXPECT_EQ(assignment->direction, FlowDirection::kServerToClient);
-  EXPECT_EQ(assignment->key.client.port, 50001);
+TEST(FlowOrientation, SynEstablishesClientOrientation) {
+  // The SYN's sender is the client; the SYN-ACK joins the same flow.
+  const auto flows =
+      flows_of({tcp_packet(0.0, kClient, 50000, kServer, 443, true, false, 0),
+                tcp_packet(0.1, kServer, 443, kClient, 50000, true, true, 0)});
+  ASSERT_EQ(flows.size(), 1u);
+  EXPECT_EQ(flows[0].flow.client.v4, kClient);
+  EXPECT_EQ(flows[0].flow.client.port, 50000);
+  EXPECT_EQ(flows[0].flow.server.port, 443);
 }
 
-TEST(FlowTable, ByteCountsPerDirection) {
-  FlowTable table;
-  table.add(*decode_packet(tcp_packet(0.0, kClient, 50000, kServer, 443, true, false, 0)), 0);
-  table.add(*decode_packet(tcp_packet(0.2, kClient, 50000, kServer, 443, false, true, 120)), 1);
-  table.add(*decode_packet(tcp_packet(0.3, kServer, 443, kClient, 50000, false, true, 4000)), 2);
-
-  ASSERT_EQ(table.size(), 1u);
-  const FlowRecord& flow = table.flows().begin()->second;
-  EXPECT_EQ(flow.client_bytes, 120u);
-  EXPECT_EQ(flow.server_bytes, 4000u);
-  EXPECT_EQ(flow.total_bytes(), 4120u);
-  EXPECT_EQ(flow.packets.size(), 3u);
-  EXPECT_TRUE(flow.saw_syn);
-  EXPECT_DOUBLE_EQ(flow.duration().to_seconds(), 0.3);
+TEST(FlowOrientation, SynSenderIsClientEvenOnAServicePort) {
+  // A pure SYN outranks the port heuristic.
+  const auto flows =
+      flows_of({tcp_packet(0.0, kServer, 443, kClient, 50000, true, false, 0)});
+  ASSERT_EQ(flows.size(), 1u);
+  EXPECT_EQ(flows[0].flow.client.port, 443);
 }
 
-TEST(FlowTable, DistinctFlowsSeparated) {
-  FlowTable table;
-  table.add(*decode_packet(tcp_packet(0.0, kClient, 50000, kServer, 443, true, false, 0)), 0);
-  table.add(*decode_packet(tcp_packet(0.1, kClient, 50001, kServer, 443, true, false, 0)), 1);
-  table.add(*decode_packet(
-                tcp_packet(0.2, kClient, 50000, Ipv4Address(1, 2, 3, 4), 443, true, false, 0)),
-            2);
-  EXPECT_EQ(table.size(), 3u);
+TEST(FlowOrientation, MidStreamServicePortHeuristic) {
+  // First observed packet comes FROM the server (mid-capture): its
+  // well-known source port makes the peer the client, and its payload
+  // counts on the server side.
+  const auto flows =
+      flows_of({tcp_packet(0.0, kServer, 443, kClient, 50001, false, true, 100)});
+  ASSERT_EQ(flows.size(), 1u);
+  EXPECT_EQ(flows[0].flow.client.v4, kClient);
+  EXPECT_EQ(flows[0].flow.client.port, 50001);
+  EXPECT_EQ(flows[0].flow.server.port, 443);
+  EXPECT_EQ(flows[0].server_stream_bytes, 100u);
+  EXPECT_EQ(flows[0].client_stream_bytes, 0u);
 }
 
-TEST(FlowTable, ByVolumeOrdering) {
-  FlowTable table;
-  table.add(*decode_packet(tcp_packet(0.0, kClient, 50000, kServer, 443, false, true, 10)), 0);
-  table.add(*decode_packet(tcp_packet(0.1, kClient, 50001, kServer, 443, false, true, 5000)), 1);
-  const auto ordered = table.by_volume();
-  ASSERT_EQ(ordered.size(), 2u);
-  EXPECT_GE(ordered[0]->total_bytes(), ordered[1]->total_bytes());
-  EXPECT_EQ(ordered[0]->key.client.port, 50001);
+TEST(FlowOrientation, DistinctFlowsSeparated) {
+  const auto flows = flows_of(
+      {tcp_packet(0.0, kClient, 50000, kServer, 443, true, false, 0),
+       tcp_packet(0.1, kClient, 50001, kServer, 443, true, false, 0),
+       tcp_packet(0.2, kClient, 50000, Ipv4Address(1, 2, 3, 4), 443, true, false, 0)});
+  EXPECT_EQ(flows.size(), 3u);
 }
 
 TEST(FlowKey, StringRendering) {
-  const auto decoded =
-      decode_packet(tcp_packet(0.0, kClient, 50000, kServer, 443, true, false, 0));
-  FlowTable table;
-  const auto assignment = table.add(*decoded, 0);
-  const std::string text = assignment->key.to_string();
+  const FlowKey key{Endpoint{false, kClient, {}, 50000},
+                    Endpoint{false, kServer, {}, 443}, IpProtocol::kTcp};
+  const std::string text = key.to_string();
   EXPECT_NE(text.find("10.0.0.2:50000"), std::string::npos);
   EXPECT_NE(text.find("198.51.100.1:443"), std::string::npos);
   EXPECT_NE(text.find("TCP"), std::string::npos);
@@ -125,82 +105,42 @@ TEST(DecodedPacket, SummaryContainsEssentials) {
   EXPECT_NE(summary.find("10.0.0.2:50000"), std::string::npos);
 }
 
-TEST(FlowTableEviction, IdleFlowsEvictedActiveFlowsKept) {
-  FlowTable::Config config;
-  config.idle_timeout = util::Duration::seconds(10);
-  FlowTable table(config);
+TEST(FlowShardHash, UndecidableOrientationFallsBackToTheFlowHash) {
+  // Neither port is a well-known one, so viewer_shard_hash cannot tell
+  // the viewer apart and hashes the whole 5-tuple instead: the
+  // direction-symmetric endpoint_pair_hash of the frame's endpoints.
+  const Ipv4Address peer(10, 0, 0, 3);
+  const Packet forward = tcp_packet(0.0, kClient, 50000, peer, 6881, false, true, 10);
+  const Packet reverse = tcp_packet(0.1, peer, 6881, kClient, 50000, false, true, 10);
+  const Packet other = tcp_packet(0.2, kClient, 50001, peer, 6881, false, true, 10);
 
-  const auto idle =
-      decode_packet(tcp_packet(0.0, kClient, 50000, kServer, 443, true, false, 0));
-  const auto busy =
-      decode_packet(tcp_packet(0.0, kClient, 50001, kServer, 443, true, false, 0));
-  table.add(*idle, 0);
-  const auto busy_key = table.add(*busy, 1)->key;
-
-  // Keep the second flow alive past the first one's deadline.
-  const auto refresh =
-      decode_packet(tcp_packet(9.0, kClient, 50001, kServer, 443, false, true, 64));
-  table.add(*refresh, 2);
-
-  const auto evicted = table.evict_idle(util::SimTime::from_seconds(12.0));
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0].client.port, 50000);
-  EXPECT_EQ(table.size(), 1u);
-  EXPECT_NE(table.find(busy_key), nullptr);
-  EXPECT_EQ(table.flows_evicted(), 1u);
-
-  // A flow exactly at the threshold survives; strictly-older goes.
-  EXPECT_TRUE(table.evict_idle(util::SimTime::from_seconds(19.0)).empty());
-  EXPECT_EQ(table.evict_idle(util::SimTime::from_seconds(19.5)).size(), 1u);
-  EXPECT_EQ(table.size(), 0u);
-}
-
-TEST(FlowTableEviction, ZeroTimeoutNeverEvicts) {
-  FlowTable table;  // default config: idle_timeout zero
-  const auto decoded =
-      decode_packet(tcp_packet(0.0, kClient, 50000, kServer, 443, true, false, 0));
-  table.add(*decoded, 0);
-  EXPECT_TRUE(table.evict_idle(util::SimTime::from_seconds(1e6)).empty());
-  EXPECT_EQ(table.size(), 1u);
-}
-
-TEST(FlowTableEviction, TrackPacketsOffKeepsAggregatesOnly) {
-  FlowTable::Config config;
-  config.track_packets = false;
-  FlowTable table(config);
-  for (int i = 0; i < 5; ++i) {
-    const auto decoded = decode_packet(
-        tcp_packet(0.1 * i, kClient, 50000, kServer, 443, i == 0, i > 0, 100));
-    table.add(*decoded, static_cast<std::size_t>(i));
-  }
-  ASSERT_EQ(table.size(), 1u);
-  const FlowRecord& flow = table.flows().begin()->second;
-  EXPECT_TRUE(flow.packets.empty());
-  EXPECT_EQ(flow.client_bytes, 500u);  // aggregates still accumulate
-  EXPECT_EQ(flow.last_seen, util::SimTime::from_seconds(0.4));
-}
-
-TEST(FlowShardHash, DirectionSymmetricAndFlowDistinct) {
-  const Packet forward = tcp_packet(0.0, kClient, 50000, kServer, 443, false, true, 10);
-  const Packet reverse = tcp_packet(0.1, kServer, 443, kClient, 50000, false, true, 10);
-  const Packet other = tcp_packet(0.2, kClient, 50001, kServer, 443, false, true, 10);
-
-  const auto ha = flow_shard_hash(forward);
-  const auto hb = flow_shard_hash(reverse);
-  const auto hc = flow_shard_hash(other);
+  const auto ha = viewer_shard_hash(forward);
+  const auto hb = viewer_shard_hash(reverse);
+  const auto hc = viewer_shard_hash(other);
   ASSERT_TRUE(ha && hb && hc);
+  const Endpoint client{false, kClient, {}, 50000};
+  const Endpoint server{false, peer, {}, 6881};
+  EXPECT_EQ(*ha, endpoint_pair_hash(client, server, IpProtocol::kTcp));
   EXPECT_EQ(*ha, *hb);  // both directions land on the same shard
   EXPECT_NE(*ha, *hc);  // sibling flow (port+1) lands elsewhere
+  EXPECT_EQ(*hc, endpoint_pair_hash(Endpoint{false, kClient, {}, 50001}, server,
+                                    IpProtocol::kTcp));
 
-  // Non-transport frames get no hash (the dispatcher routes them to a
-  // fixed shard instead).
+  // With a service port on one side only the viewer's address counts.
+  const auto viewer = viewer_shard_hash(
+      tcp_packet(0.0, kClient, 50000, kServer, 443, false, true, 10));
+  ASSERT_TRUE(viewer.has_value());
+  EXPECT_EQ(viewer, viewer_shard_hash(
+                        tcp_packet(0.0, kClient, 50001, kServer, 443, false, true, 10)));
+
+  // Non-transport frames get no hash (the fleet counts them unroutable).
   util::ByteWriter writer;
   EthernetHeader eth;
   eth.ether_type = static_cast<std::uint16_t>(EtherType::kArp);
   eth.serialize(writer);
   writer.write_repeated(0, 28);
   const Packet arp(util::SimTime::from_seconds(0), writer.take());
-  EXPECT_FALSE(flow_shard_hash(arp).has_value());
+  EXPECT_FALSE(viewer_shard_hash(arp).has_value());
 }
 
 }  // namespace

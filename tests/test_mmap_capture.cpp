@@ -1,7 +1,7 @@
 // The memory-mapped capture fast path against the buffered istream
 // path: both must yield byte-identical packet sequences on well-formed,
 // empty, snaplen-trimmed and large files, agree on where a truncated
-// file fails, and drive the engine to identical results and identical
+// file fails, and drive inference to identical results and identical
 // stable counter exports.
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "wm/core/engine/engine.hpp"
 #include "wm/core/engine/source.hpp"
 #include "wm/core/pipeline.hpp"
 #include "wm/net/pcap.hpp"
@@ -279,7 +278,7 @@ Walk streamed_walk(const fs::path& path) {
   return walk;
 }
 
-/// Through the capture source the way the inline engine reads it:
+/// Through the capture source the way extract_observations reads it:
 /// read_views() runs of up to `max`, with every `copy_every`-th call
 /// (when nonzero) a read_batch() instead.
 Walk source_walk(const fs::path& path, std::size_t max, std::size_t copy_every = 0) {

@@ -15,6 +15,7 @@
 #include "wm/sim/session.hpp"
 #include "wm/story/bandersnatch.hpp"
 #include "wm/story/generator.hpp"
+#include "wm/tls/record_stream.hpp"
 
 namespace wm::core {
 namespace {
@@ -201,9 +202,10 @@ TEST(Pipeline, CrossConditionCalibrationKeepsJsonBandsUsable) {
 
 TEST(Features, BatchFeaturePathKeepsTheGapTaint) {
   // Un-retransmitted segment loss leaves records parsed right after a
-  // hole (RecordEvent::after_gap). The batch feature path must carry
-  // that taint into its observations, in the decode order, or a lossy
-  // capture decodes at full confidence.
+  // hole (RecordEvent::after_gap). The feature path must carry that
+  // taint into its observations, in the decode order, or a lossy
+  // capture decodes at full confidence. Reference: each record of
+  // tls::extract_record_streams on the same packets.
   const story::StoryGraph graph = story::make_bandersnatch();
   const auto session =
       simulate(graph, sim::OperationalConditions{}, alternating(13), 5101);
@@ -213,7 +215,7 @@ TEST(Features, BatchFeaturePathKeepsTheGapTaint) {
   const std::vector<tls::FlowRecordStream> streams =
       tls::extract_record_streams(lossy);
   const std::vector<ClientRecordObservation> observations =
-      extract_client_records(streams);
+      extract_client_records(lossy);
 
   // Every observation against its source record: (time, length) with
   // the taint, as multisets.

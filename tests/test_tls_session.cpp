@@ -323,8 +323,16 @@ TEST(RecordStreamExtractor, LiveFlowStateStaysSmallAndEventsUnchanged) {
       test::strip_teardown(fleet.session_template());
   reference.feed_batch(session.data(), session.size(), expected);
   ASSERT_EQ(reference.active_flows(), 1u);
-  const std::optional<std::string> sni = reference.sni_of(expected.front().flow);
+
+  // The SNIs, read from finish()'s streams of extractors that keep them.
+  RecordStreamExtractor sni_reference;
+  std::vector<StreamEvent> scratch;
+  sni_reference.feed_batch(session.data(), session.size(), scratch);
+  const std::vector<FlowRecordStream> reference_streams = sni_reference.finish();
+  ASSERT_EQ(reference_streams.size(), 1u);
+  const std::optional<std::string> sni = reference_streams.front().sni;
   ASSERT_TRUE(sni.has_value());
+  RecordStreamExtractor retained;
 
   RecordStreamExtractor extractor(config);
   std::vector<StreamEvent> events;
@@ -333,6 +341,8 @@ TEST(RecordStreamExtractor, LiveFlowStateStaysSmallAndEventsUnchanged) {
     for (const net::Packet& packet : batch) {
       if (!test::is_stripped_fin(packet, 1)) {
         extractor.feed_batch(&packet, 1, events);
+        retained.feed_batch(&packet, 1, scratch);
+        scratch.clear();
       }
     }
   }
@@ -341,6 +351,9 @@ TEST(RecordStreamExtractor, LiveFlowStateStaysSmallAndEventsUnchanged) {
 
   // Every session yields the template's events, shifted in time only,
   // and its SNI (read through a borrowed handshake payload).
+  const std::vector<FlowRecordStream> streams = retained.finish();
+  ASSERT_EQ(streams.size(), workload.sessions);
+  for (const FlowRecordStream& stream : streams) EXPECT_EQ(stream.sni, sni);
   std::map<net::FlowKey, std::vector<RecordEvent>> by_flow;
   for (const StreamEvent& event : events) {
     ASSERT_EQ(event.kind, StreamEvent::Kind::kRecord);
@@ -348,7 +361,6 @@ TEST(RecordStreamExtractor, LiveFlowStateStaysSmallAndEventsUnchanged) {
   }
   ASSERT_EQ(by_flow.size(), workload.sessions);
   for (const auto& [flow, got] : by_flow) {
-    EXPECT_EQ(extractor.sni_of(flow), sni);
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       const RecordEvent& want = expected[i].event;
