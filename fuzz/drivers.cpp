@@ -9,9 +9,12 @@
 #include <utility>
 #include <vector>
 
+#include "wm/net/packet.hpp"
 #include "wm/net/pcap.hpp"
 #include "wm/net/pcapng.hpp"
+#include "wm/obs/registry.hpp"
 #include "wm/tls/record.hpp"
+#include "wm/tls/record_stream.hpp"
 #include "wm/util/json.hpp"
 #include "wm/util/time.hpp"
 
@@ -73,6 +76,101 @@ PcapWalk walk_pcap(Read&& read) {
   return walk;
 }
 
+/// What one RecordStreamExtractor made of a capture: every event,
+/// flush included, its counters and its stable metrics. How holds were
+/// stored (holds_lent/holds_copied) is left out: that is what the ways
+/// of feeding differ in.
+struct Extraction {
+  std::vector<tls::StreamEvent> events;
+  std::vector<std::uint64_t> counters;
+  std::string metrics;
+
+  bool operator==(const Extraction& other) const {
+    const auto same = [](const tls::StreamEvent& a, const tls::StreamEvent& b) {
+      if (!(a.flow == b.flow) || a.kind != b.kind) return false;
+      if (a.kind == tls::StreamEvent::Kind::kGap) {
+        return a.gap.timestamp == b.gap.timestamp &&
+               a.gap.direction == b.gap.direction &&
+               a.gap.stream_offset == b.gap.stream_offset &&
+               a.gap.length == b.gap.length;
+      }
+      return a.event.timestamp == b.event.timestamp &&
+             a.event.direction == b.event.direction &&
+             a.event.content_type == b.event.content_type &&
+             a.event.record_length == b.event.record_length &&
+             a.event.stream_offset == b.event.stream_offset &&
+             a.event.after_gap == b.event.after_gap;
+    };
+    return counters == other.counters && metrics == other.metrics &&
+           std::equal(events.begin(), events.end(), other.events.begin(),
+                      other.events.end(), same);
+  }
+};
+
+/// Runs `feed(extractor, events)` on an extractor with small reorder
+/// windows, a small buffer budget and a short idle timeout, so even a
+/// small capture reaches window edges, budget drops and eviction.
+template <typename Feed>
+Extraction extract(Feed&& feed) {
+  obs::Registry registry;
+  tls::RecordStreamExtractor::Config config;
+  config.idle_timeout = util::Duration::seconds(1);
+  config.registry = &registry;
+  config.reassembly.reorder_window_segments = 4;
+  config.reassembly.reorder_window_bytes = 4096;
+  config.reassembly.max_buffered_bytes = 6144;
+  tls::RecordStreamExtractor extractor(config);
+  Extraction result;
+  feed(extractor, result.events);
+  const std::vector<tls::StreamEvent> flushed = extractor.flush();
+  result.events.insert(result.events.end(), flushed.begin(), flushed.end());
+  result.counters = {extractor.packets_seen(),    extractor.packets_undecodable(),
+                     extractor.flows_opened(),    extractor.flows_evicted(),
+                     extractor.flows_completed(), extractor.flows_closed(),
+                     extractor.gaps(),            extractor.gap_bytes(),
+                     extractor.tls_bytes_skipped(), extractor.tls_resyncs(),
+                     extractor.peak_active_flows()};
+  result.metrics = registry.snapshot().stable_json();
+  return result;
+}
+
+/// Feeds the packets a capture yielded to the record-stream extractor
+/// every way it is fed: slab batches over stable views (holds borrow),
+/// over owned packets (holds copy), one packet at a time through the
+/// scalar decoder (holds copy), and frames lent one at a time from a
+/// reused buffer (holds take the frame). All must agree.
+void check_extraction(const std::vector<net::Packet>& packets) {
+  const Extraction viewed = extract([&](tls::RecordStreamExtractor& extractor,
+                                        std::vector<tls::StreamEvent>& out) {
+    std::vector<net::PacketView> views(packets.begin(), packets.end());
+    extractor.feed_batch(views.data(), views.size(), out, /*stable_payload=*/true);
+  });
+  const Extraction owned = extract([&](tls::RecordStreamExtractor& extractor,
+                                       std::vector<tls::StreamEvent>& out) {
+    extractor.feed_batch(packets.data(), packets.size(), out);
+  });
+  const Extraction single = extract([&](tls::RecordStreamExtractor& extractor,
+                                        std::vector<tls::StreamEvent>& out) {
+    for (const net::Packet& packet : packets) {
+      const std::vector<tls::StreamEvent> events = extractor.feed(packet);
+      out.insert(out.end(), events.begin(), events.end());
+    }
+  });
+  const Extraction lent = extract([&](tls::RecordStreamExtractor& extractor,
+                                      std::vector<tls::StreamEvent>& out) {
+    net::Packet slot;
+    net::PacketLens lens;
+    for (const net::Packet& packet : packets) {
+      net::PacketView(packet).assign_to(slot);
+      net::decode_lens(slot, lens);
+      extractor.feed_lens_lend(slot.timestamp, slot.data, lens, out);
+    }
+  });
+  if (!(owned == viewed) || !(single == viewed) || !(lent == viewed)) {
+    throw std::logic_error("record extraction paths disagree");  // escapes: a bug
+  }
+}
+
 }  // namespace
 
 std::string to_string(Outcome outcome) {
@@ -123,6 +221,8 @@ Outcome drive_pcap(util::BytesView data) {
       !(indexed == streamed)) {
     throw std::logic_error("pcap reading paths disagree");  // escapes: a bug
   }
+  // Whatever the capture yielded before any error is traffic.
+  check_extraction(streamed.packets);
   return streamed.error ? Outcome::kRejected : Outcome::kOk;
 }
 

@@ -34,8 +34,11 @@ enum class Outcome {
 [[nodiscard]] std::string to_string(Outcome outcome);
 
 /// Classic pcap: parse every record through the streaming reader and
-/// through the in-place record-indexed walk over the same bytes. The paths must agree packet for packet and on the error that
-/// ends them; a disagreement escapes as a finding.
+/// through the in-place record-indexed walk over the same bytes. The
+/// paths must agree packet for packet and on the error that ends them.
+/// The packets read are then fed to the TLS record-stream extractor in
+/// each of its hold modes (borrowed, copied, lent), which must agree on
+/// every event and counter. A disagreement escapes as a finding.
 [[nodiscard]] Outcome drive_pcap(util::BytesView data);
 
 /// pcapng: stream-parse every block, including unknown-type skipping.

@@ -18,10 +18,12 @@
 #include <vector>
 
 #include "drivers.hpp"
+#include "wm/net/packet_builder.hpp"
 #include "wm/net/pcap.hpp"
 #include "wm/net/pcapng.hpp"
 #include "wm/tls/record.hpp"
 #include "wm/util/bytes.hpp"
+#include "wm/util/rng.hpp"
 #include "wm/util/time.hpp"
 
 namespace fs = std::filesystem;
@@ -66,6 +68,76 @@ Bytes capture_bytes() {
 Bytes truncated(BytesView bytes, std::size_t keep) {
   return Bytes(bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(
                                   std::min(keep, bytes.size())));
+}
+
+/// One TLS record header of `type` and a `length`-byte body.
+Bytes tls_record(std::uint8_t type, std::size_t length) {
+  Bytes record{type, 0x03, 0x03, static_cast<std::uint8_t>(length >> 8),
+               static_cast<std::uint8_t>(length & 0xff)};
+  record.resize(5 + length, static_cast<std::uint8_t>(length));
+  return record;
+}
+
+/// TLS traffic as the simulator jitters it: two connections whose
+/// records are cut at small MSSes, with segments swapped with their
+/// neighbours or held back several places, a retransmit, a lost
+/// segment and a frame cut short by the snaplen. drive_pcap replays it
+/// through the record-stream extractor in every hold mode, so it seeds
+/// the reassembler's shortcut and its general path alike.
+Bytes reordered_tls_capture() {
+  using wm::net::FlowDirection;
+  using wm::util::Duration;
+  using wm::util::SimTime;
+  std::vector<wm::net::Packet> packets;
+  for (std::uint8_t c = 0; c < 2; ++c) {
+    wm::net::TcpEndpointConfig client;
+    client.mac = *wm::net::MacAddress::parse("02:00:00:00:00:01");
+    client.ip = wm::net::Ipv4Address(10, 0, 0, static_cast<std::uint8_t>(1 + c));
+    client.port = static_cast<std::uint16_t>(50000 + c);
+    client.initial_sequence = 0xffffff00u;  // wraps mid-stream
+    client.mss = 200;
+    wm::net::TcpEndpointConfig server;
+    server.mac = *wm::net::MacAddress::parse("02:00:00:00:00:02");
+    server.ip = wm::net::Ipv4Address(10, 0, 1, 1);
+    server.port = 443;
+    server.mss = 300;
+    wm::net::TcpConnectionBuilder conn(client, server);
+    SimTime at = SimTime::from_seconds(c);
+    conn.handshake(at, Duration::millis(20));
+    for (std::size_t i = 0; i < 8; ++i) {
+      at = at + Duration::millis(30);
+      conn.send(FlowDirection::kClientToServer, at,
+                tls_record(i == 0 ? 0x16 : 0x17, 100 + 60 * i), Duration::millis(1));
+      conn.send(FlowDirection::kServerToClient, at + Duration::millis(10),
+                tls_record(0x17, 400 + 40 * i), Duration::millis(1));
+    }
+    conn.retransmit(conn.packets().size() - 3, at + Duration::millis(15));
+    if (c == 0) conn.close(at + Duration::millis(40), Duration::millis(20));
+    for (wm::net::Packet& packet : conn.take_packets()) {
+      packets.push_back(std::move(packet));
+    }
+  }
+  wm::util::Rng rng(27);
+  for (std::size_t i = 4; i + 8 < packets.size(); ++i) {
+    if (rng.bernoulli(0.3)) std::swap(packets[i], packets[i + 1]);
+    if (rng.bernoulli(0.05)) {
+      const auto at = packets.begin() + static_cast<std::ptrdiff_t>(i);
+      std::rotate(at, at + 1, at + 7);
+    }
+  }
+  packets.erase(packets.begin() + 20);  // lost
+  for (std::size_t i = 40; i < packets.size(); ++i) {
+    if (packets[i].data.size() < 120) continue;
+    packets[i].data.resize(packets[i].data.size() - 30);  // snaplen
+    break;
+  }
+  std::ostringstream out;
+  {
+    wm::net::PcapWriter writer(out);
+    for (const wm::net::Packet& packet : packets) writer.write(packet);
+  }
+  const std::string text = out.str();
+  return Bytes(text.begin(), text.end());
 }
 
 void make_pcap(const fs::path& dir) {
@@ -126,6 +198,11 @@ void make_pcap(const fs::path& dir) {
   Bytes lie(even_text.begin(), even_text.end());
   lie[24 + 80 + 8] = 64 + 80;
   emit(dir, "caplen-lie-at-cursor-boundary", wm::fuzz::drive_pcap, lie);
+
+  const Bytes tls = reordered_tls_capture();
+  emit(dir, "reordered-tls-flows", wm::fuzz::drive_pcap, tls);
+  emit(dir, "reordered-tls-flows-cut", wm::fuzz::drive_pcap,
+       truncated(tls, tls.size() * 2 / 3));
 }
 
 void make_pcapng(const fs::path& dir) {

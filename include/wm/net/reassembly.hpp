@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "wm/net/flow.hpp"
@@ -196,25 +195,32 @@ class TcpStreamReassembler {
                   bool fin, util::BytesView payload, std::size_t truncated_bytes,
                   PayloadHold hold, std::vector<StreamItem>& out);
 
-  /// Convenience wrapper: owned copies, freshly returned vector.
-  std::vector<StreamItem> on_segment(util::SimTime timestamp, std::uint32_t sequence,
-                                     bool syn, bool fin, util::BytesView payload,
-                                     std::size_t truncated_bytes = 0);
-
-  /// Hot-path shortcut for the overwhelmingly common case: a plain
-  /// data (or pure-ACK) segment arriving exactly in order on a stream
-  /// with nothing buffered and no dead ranges. The caller must have
-  /// ruled out SYN/FIN/RST and truncation. On success the stream state
-  /// advances exactly as on_segment + drain would (the segment is
-  /// deliverable immediately, stamped with its own arrival time) and
-  /// the payload's stream offset is returned — the caller hands its
-  /// bytes straight to the downstream parser without the Pending-map
-  /// copy or StreamItem vector. Returns nullopt when any fast-path
-  /// precondition fails; the caller falls back to on_segment, which
-  /// observes a state indistinguishable from the shortcut never having
-  /// been tried.
-  std::optional<std::uint64_t> accept_in_order(std::uint32_t sequence,
-                                               std::size_t payload_size);
+  /// The shortcut beside on_segment, for the segments jittered traffic
+  /// is made of. The caller must have ruled out SYN/FIN/RST and
+  /// truncation. A plain data segment (or pure ACK) is taken when it
+  ///   * starts at the next expected byte and ends at or before the
+  ///     first held piece: it is delivered, then every held piece it
+  ///     makes contiguous; or
+  ///   * starts past a hole, at or after the end of the held run: it is
+  ///     held as on_segment holds it (`hold`, see PayloadHold), unless
+  ///     the hold would trip the reorder window (more than
+  ///     reorder_window_segments pieces or reorder_window_bytes bytes)
+  ///     or the buffer budget (max_buffered_bytes).
+  /// `deliver(StreamChunk&)` is called once per delivered chunk in
+  /// stream order: the segment first (borrowing `payload`, stamped
+  /// `timestamp`), then each held piece with its first-arrival stamp;
+  /// the callee may take a chunk's owner. Returns false, having changed
+  /// nothing on_segment would not, when the segment needs on_segment:
+  /// a retransmit, an overlap, a hole in the middle of the held run, a
+  /// dead range, a FIN seen, a hole to condemn or bytes to drop. Taken
+  /// or not, the stream's state, chunks and counters are exactly
+  /// on_segment's; only the hold tallies differ, as a delivered segment
+  /// is never held. On the jittered seed-1 dataset 66,389 of 774,775
+  /// packets still reach on_segment (500,159 when only in-order
+  /// segments were taken).
+  template <typename Deliver>
+  bool shortcut(util::SimTime timestamp, std::uint32_t sequence,
+                util::BytesView payload, PayloadHold hold, Deliver&& deliver);
 
   /// Declare every outstanding hole dead and deliver all buffered data
   /// (end of capture, idle eviction, or RST). Leaves the stream
@@ -264,6 +270,16 @@ class TcpStreamReassembler {
     StreamGap::Cause cause = StreamGap::Cause::kBufferCap;
   };
 
+  /// What shortcut()'s state step did with a segment.
+  enum class Admitted : std::uint8_t {
+    kDeclined,   // untouched: the caller goes to on_segment
+    kDone,       // held, or a pure ACK: nothing to deliver
+    kDelivered,  // expected_ advanced past the segment's payload
+  };
+  /// The state step of shortcut(): everything but the delivery.
+  Admitted admit(util::SimTime timestamp, std::uint32_t sequence,
+                 util::BytesView payload, PayloadHold hold);
+
   /// Unwraps a 32-bit sequence number into 64-bit stream space near the
   /// current expected position.
   std::uint64_t unwrap(std::uint32_t sequence) const;
@@ -308,6 +324,34 @@ class TcpStreamReassembler {
   std::map<std::uint64_t, DeadRange> dead_;
 };
 
+template <typename Deliver>
+bool TcpStreamReassembler::shortcut(util::SimTime timestamp,
+                                    std::uint32_t sequence,
+                                    util::BytesView payload, PayloadHold hold,
+                                    Deliver&& deliver) {
+  const Admitted admitted = admit(timestamp, sequence, payload, hold);
+  if (admitted != Admitted::kDelivered) return admitted == Admitted::kDone;
+  StreamChunk segment;
+  segment.timestamp = timestamp;
+  segment.stream_offset = expected_ - payload.size() - base_;
+  segment.view = payload;
+  deliver(segment);
+  // Held pieces never overlap and the segment ended at or before the
+  // first, so each one the stream now reaches starts exactly there.
+  std::size_t taken = 0;
+  while (taken < pending_.size() && pending_[taken].start == expected_) {
+    StreamChunk& chunk = pending_[taken++].chunk;
+    chunk.stream_offset = expected_ - base_;
+    expected_ += chunk.view.size();
+    delivered_ += chunk.view.size();
+    buffered_bytes_ -= chunk.view.size();
+    deliver(chunk);
+  }
+  pending_.erase(pending_.begin(),
+                 pending_.begin() + static_cast<std::ptrdiff_t>(taken));
+  return true;
+}
+
 /// Both directions of a TCP connection, reassembled together.
 class TcpConnectionReassembler {
  public:
@@ -320,25 +364,19 @@ class TcpConnectionReassembler {
     StreamItem item;
   };
 
-  /// Feed one decoded TCP packet with its flow direction. An RST ends
+  /// Feed one TCP segment of `direction`, appending what became
+  /// deliverable, labelled with its direction, to `out`. An RST ends
   /// both directions: buffered data is flushed (holes become gaps) and
-  /// both streams report finished().
-  std::vector<DirectedItem> on_packet(const DecodedPacket& packet,
-                                      FlowDirection direction);
-
-  /// Same semantics as on_packet, but taking the TCP fields directly
-  /// (no DecodedPacket materialization) and appending into a caller-
-  /// owned scratch vector — the slab decode path's entry point. `hold`
-  /// goes to the stream reassembler (see TcpStreamReassembler::
-  /// on_segment).
+  /// both streams report finished(). `hold` goes to the stream
+  /// reassembler (see TcpStreamReassembler::on_segment).
   void on_segment(FlowDirection direction, util::SimTime timestamp,
                   std::uint32_t sequence, bool syn, bool fin, bool rst,
                   util::BytesView payload, std::size_t truncated_bytes,
                   std::vector<DirectedItem>& out, PayloadHold hold = {});
 
-  /// Mutable access to one direction's stream, for the in-order fast
-  /// path (TcpStreamReassembler::accept_in_order). Callers must check
-  /// reset() first — a torn-down connection accepts nothing.
+  /// Mutable access to one direction's stream, for its shortcut
+  /// (TcpStreamReassembler::shortcut). After an RST both streams are
+  /// finished, so the shortcut declines and on_segment drops the rest.
   [[nodiscard]] TcpStreamReassembler& stream(FlowDirection direction) {
     return direction == FlowDirection::kClientToServer ? client_ : server_;
   }

@@ -210,8 +210,6 @@ class RecordStreamExtractor {
   /// borrowed holds of stable payloads count in neither).
   [[nodiscard]] std::uint64_t holds_lent() const { return holds_.lent(); }
   [[nodiscard]] std::uint64_t holds_copied() const { return holds_.copied(); }
-  /// Sum of live out-of-order reassembly buffers across active flows.
-  [[nodiscard]] std::size_t buffered_reassembly_bytes() const;
   /// Heap bytes of flow state: the flow slots (live and free), the
   /// flow index, parser and reassembly capacities, retained events and
   /// spare hold buffers. Walks every slot, so it is for tests and
@@ -272,8 +270,9 @@ class RecordStreamExtractor {
                 std::uint32_t sequence, util::BytesView payload,
                 std::size_t truncated_bytes, net::PayloadHold hold,
                 std::vector<StreamEvent>& out);
-  /// Buffer-everything fallback of feed_tcp for segments the in-order
-  /// fast path rejects (SYN/FIN/RST, truncation, reorder, retransmit).
+  /// The general path of feed_tcp, through the reassembler's
+  /// on_segment, for the segments its shortcut does not take
+  /// (SYN/FIN/RST, truncation, retransmit, overlap, window edges).
   void feed_tcp_slow(std::uint32_t slot, net::FlowDirection direction,
                      util::SimTime timestamp, std::uint32_t sequence,
                      std::uint8_t tcp_flags, util::BytesView payload,
@@ -302,6 +301,16 @@ class RecordStreamExtractor {
   void process_items(PerFlow& state,
                      std::vector<net::TcpConnectionReassembler::DirectedItem>& items,
                      std::vector<StreamEvent>& out);
+  /// Parse one delivered chunk, append its records to `out`, and put
+  /// an owned chunk buffer back among the spares.
+  void feed_chunk(PerFlow& state, net::FlowDirection direction,
+                  net::StreamChunk& chunk, std::vector<StreamEvent>& out);
+  static TlsRecordParser& parser_for(PerFlow& state,
+                                     net::FlowDirection direction) {
+    return direction == net::FlowDirection::kClientToServer
+               ? state.client_parser
+               : state.server_parser;
+  }
   void emit_record(PerFlow& state, net::FlowDirection direction,
                    TlsRecordParser::ParsedRecord& parsed,
                    std::vector<StreamEvent>& out);
@@ -355,7 +364,7 @@ class RecordStreamExtractor {
   /// flow, refilled from delivered chunks, at most kSpareHolds
   /// (record_stream.cpp) of them.
   net::HoldBuffers holds_;
-  /// Scratch reused across packets by the slow reassembly path.
+  /// Scratch reused across packets by the general reassembly path.
   std::vector<net::TcpConnectionReassembler::DirectedItem> items_scratch_;
   /// Scratch for parser output (ParsedRecord views), reused per chunk.
   std::vector<TlsRecordParser::ParsedRecord> parsed_scratch_;

@@ -185,15 +185,6 @@ void TcpStreamReassembler::resurrect(std::uint64_t start, std::uint64_t end) {
   }
 }
 
-std::vector<StreamItem> TcpStreamReassembler::on_segment(
-    util::SimTime timestamp, std::uint32_t sequence, bool syn, bool fin,
-    util::BytesView payload, std::size_t truncated_bytes) {
-  std::vector<StreamItem> out;
-  on_segment(timestamp, sequence, syn, fin, payload, truncated_bytes,
-             PayloadHold{}, out);
-  return out;
-}
-
 void TcpStreamReassembler::on_segment(util::SimTime timestamp,
                                       std::uint32_t sequence, bool syn, bool fin,
                                       util::BytesView payload,
@@ -310,28 +301,58 @@ void TcpStreamReassembler::on_segment(util::SimTime timestamp,
   if (fin_seen_ && expected_ >= fin_at_) finished_ = true;
 }
 
-std::optional<std::uint64_t> TcpStreamReassembler::accept_in_order(
-    std::uint32_t sequence, std::size_t payload_size) {
-  // Preconditions that make this equivalent to on_segment + drain with
-  // nothing buffered: no pending pieces to merge against, no dead
-  // ranges to prune or surface, no FIN position to re-check. SYN, FIN,
-  // RST and truncation are the caller's responsibility to exclude.
-  if (finished_ || fin_seen_ || !pending_.empty() || !dead_.empty()) {
-    return std::nullopt;
-  }
+TcpStreamReassembler::Admitted TcpStreamReassembler::admit(
+    util::SimTime timestamp, std::uint32_t sequence, util::BytesView payload,
+    PayloadHold hold) {
+  // A FIN position to re-check or a dead range to surface or resurrect
+  // is on_segment's. Without them, drain() has nothing left to do after
+  // any call (a held run never sits over the reorder window), so a pure
+  // ACK changes nothing.
+  if (finished_ || fin_seen_ || !dead_.empty()) return Admitted::kDeclined;
   if (!synchronized_) {
     // Mid-stream capture: first segment's sequence becomes the base,
     // exactly as on_segment does for a non-SYN first segment.
     base_ = sequence;
     expected_ = base_;
     synchronized_ = true;
-  } else if (unwrap(sequence) != expected_) {
-    return std::nullopt;  // retransmit or reorder: take the slow path
   }
-  const std::uint64_t offset = expected_ - base_;
-  expected_ += payload_size;
-  delivered_ += payload_size;
-  return offset;
+  if (payload.empty()) return Admitted::kDone;
+  const std::uint64_t start = unwrap(sequence);
+  // on_segment buffers every piece before draining it, so it drops
+  // bytes over max_buffered_bytes even where they are deliverable.
+  const std::size_t buffered = buffered_bytes_ + payload.size();
+  if (buffered > config_.max_buffered_bytes) return Admitted::kDeclined;
+  if (start == expected_) {
+    if (!pending_.empty() && start + payload.size() > pending_.front().start) {
+      return Admitted::kDeclined;  // overlaps the held run: trim first
+    }
+    expected_ += payload.size();
+    delivered_ += payload.size();
+    return Admitted::kDelivered;
+  }
+  // Behind the stream (a retransmit) or inside the held run: trimming
+  // and first-arrival-wins splitting are on_segment's.
+  if (start < expected_ || (!pending_.empty() && start < pending_.back().end())) {
+    return Admitted::kDeclined;
+  }
+  // Past the hole, at the tail of the held run. on_segment would
+  // condemn the hole once the run is over the reorder window.
+  if (buffered > config_.reorder_window_bytes ||
+      pending_.size() + 1 > config_.reorder_window_segments) {
+    return Admitted::kDeclined;
+  }
+  Pending& piece = pending_.emplace_back();
+  piece.start = start;
+  piece.chunk.timestamp = timestamp;
+  if (hold.stable) {
+    piece.chunk.view = payload;
+  } else if (hold.buffers != nullptr) {
+    hold.buffers->hold(payload, hold.frame, piece.chunk);
+  } else {
+    HoldBuffers(0).hold(payload, hold.frame, piece.chunk);
+  }
+  buffered_bytes_ = buffered;
+  return Admitted::kDone;
 }
 
 std::vector<StreamItem> TcpStreamReassembler::flush(util::SimTime timestamp) {
@@ -480,18 +501,6 @@ void TcpConnectionReassembler::on_segment(
     out.push_back(DirectedItem{direction, std::move(item)});
   }
   scratch_.clear();
-}
-
-std::vector<TcpConnectionReassembler::DirectedItem>
-TcpConnectionReassembler::on_packet(const DecodedPacket& packet,
-                                    FlowDirection direction) {
-  std::vector<DirectedItem> out;
-  if (!packet.has_tcp()) return out;
-  const TcpHeader& tcp = packet.tcp();
-  on_segment(direction, packet.timestamp, tcp.sequence, tcp.syn, tcp.fin,
-             tcp.rst, packet.transport_payload,
-             packet.transport_payload_missing, out);
-  return out;
 }
 
 std::vector<TcpConnectionReassembler::DirectedItem>

@@ -251,40 +251,29 @@ void RecordStreamExtractor::feed_tcp(util::SimTime timestamp,
   const bool has_payload = !payload.empty();
   if (has_payload) obs::inc(metrics_.tcp_segments);
 
-  // SYN/FIN/RST and truncated segments always take the buffered path;
-  // so does anything the in-order fast path rejects (reorder,
-  // retransmit, pending data behind a hole) — the rejection mutates
-  // nothing, so the slow path sees pristine state.
-  if ((tcp_flags & 0x07) != 0 || truncated_bytes != 0) {
-    feed_tcp_slow(slot, direction, timestamp, sequence, tcp_flags, payload,
-                  truncated_bytes, has_payload, hold, out);
-    return;
+  // Plain segments try the reassembler's shortcut: in order, filling
+  // the head hole, or held at the tail of the held run. Each chunk it
+  // delivers goes straight to the TLS parser. SYN/FIN/RST, truncation
+  // and whatever the shortcut declines (it changes nothing when it
+  // does) take the general path.
+  if ((tcp_flags & 0x07) == 0 && truncated_bytes == 0) {
+    bool delivered = false;
+    if (state.reassembler.stream(direction).shortcut(
+            timestamp, sequence, payload, hold, [&](net::StreamChunk& chunk) {
+              feed_chunk(state, direction, chunk, out);
+              delivered = true;
+            })) {
+      if (delivered) {
+        parser_for(state, direction).trim();
+        sync_tls_counters(state);
+      } else if (has_payload) {
+        obs::inc(metrics_.tcp_segments_buffered);
+      }
+      return;
+    }
   }
-  const std::optional<std::uint64_t> offset =
-      state.reassembler.stream(direction).accept_in_order(sequence,
-                                                          payload.size());
-  if (!offset) {
-    feed_tcp_slow(slot, direction, timestamp, sequence, tcp_flags, payload,
-                  truncated_bytes, has_payload, hold, out);
-    return;
-  }
-  if (!has_payload) return;  // in-order pure ACK: nothing to deliver
-
-  // The segment is the next contiguous chunk: hand its bytes straight
-  // to the TLS parser, skipping the reassembler's buffer-and-drain
-  // machinery (and its per-segment copy) entirely.
-  obs::inc(metrics_.tcp_chunks);
-  obs::inc(metrics_.tcp_bytes, payload.size());
-  TlsRecordParser& parser = direction == net::FlowDirection::kClientToServer
-                                ? state.client_parser
-                                : state.server_parser;
-  parsed_scratch_.clear();
-  parser.feed(timestamp, payload, parsed_scratch_);
-  for (TlsRecordParser::ParsedRecord& parsed : parsed_scratch_) {
-    emit_record(state, direction, parsed, out);
-  }
-  parser.trim();  // the records' payload views are done with
-  sync_tls_counters(state);
+  feed_tcp_slow(slot, direction, timestamp, sequence, tcp_flags, payload,
+                truncated_bytes, has_payload, hold, out);
 }
 
 void RecordStreamExtractor::feed_tcp_slow(
@@ -446,13 +435,9 @@ void RecordStreamExtractor::process_items(
     std::vector<net::TcpConnectionReassembler::DirectedItem>& items,
     std::vector<StreamEvent>& out) {
   for (auto& directed : items) {
-    TlsRecordParser& parser =
-        directed.direction == net::FlowDirection::kClientToServer
-            ? state.client_parser
-            : state.server_parser;
     if (directed.item.kind == net::StreamItem::Kind::kGap) {
       const net::StreamGap& gap = directed.item.gap;
-      parser.on_gap(gap.timestamp, gap.length);
+      parser_for(state, directed.direction).on_gap(gap.timestamp, gap.length);
       ++state.gaps;
       state.gap_bytes += gap.length;
       ++gaps_total_;
@@ -467,22 +452,26 @@ void RecordStreamExtractor::process_items(
       out.push_back(std::move(event));
       continue;
     }
-    net::StreamChunk& chunk = directed.item.chunk;
-    const util::BytesView chunk_bytes = chunk.bytes();
-    obs::inc(metrics_.tcp_chunks);
-    obs::inc(metrics_.tcp_bytes, chunk_bytes.size());
-    parsed_scratch_.clear();
-    parser.feed(chunk.timestamp, chunk_bytes, parsed_scratch_);
-    for (auto& parsed : parsed_scratch_) {
-      emit_record(state, directed.direction, parsed, out);
-    }
-    // The parser copied what it keeps, and the records' payload views
-    // (read for SNI) are done with: the buffer can hold the next piece.
-    if (!chunk.owner.empty()) holds_.recycle(std::move(chunk.owner));
+    feed_chunk(state, directed.direction, directed.item.chunk, out);
   }
   // The records' payload views are done with.
   state.client_parser.trim();
   state.server_parser.trim();
+}
+
+void RecordStreamExtractor::feed_chunk(PerFlow& state,
+                                       net::FlowDirection direction,
+                                       net::StreamChunk& chunk,
+                                       std::vector<StreamEvent>& out) {
+  const util::BytesView bytes = chunk.bytes();
+  obs::inc(metrics_.tcp_chunks);
+  obs::inc(metrics_.tcp_bytes, bytes.size());
+  parsed_scratch_.clear();
+  parser_for(state, direction).feed(chunk.timestamp, bytes, parsed_scratch_);
+  for (auto& parsed : parsed_scratch_) emit_record(state, direction, parsed, out);
+  // The parser copied what it keeps, and the records' payload views
+  // (read for SNI) are done with: the buffer can hold the next piece.
+  if (!chunk.owner.empty()) holds_.recycle(std::move(chunk.owner));
 }
 
 void RecordStreamExtractor::emit_record(PerFlow& state,
@@ -651,12 +640,6 @@ std::vector<FlowRecordStream> RecordStreamExtractor::finish() {
                      return a.flow < b.flow;
                    });
   return out;
-}
-
-std::size_t RecordStreamExtractor::buffered_reassembly_bytes() const {
-  std::size_t total = 0;
-  for (const PerFlow& state : slots_) total += state.reassembler.buffered_bytes();
-  return total;
 }
 
 std::size_t RecordStreamExtractor::memory_bytes() const {

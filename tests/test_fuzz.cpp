@@ -6,6 +6,7 @@
 
 #include <sstream>
 
+#include "reassembly_helpers.hpp"
 #include "wm/net/pcap.hpp"
 #include "wm/net/reassembly.hpp"
 #include "wm/net/pcapng.hpp"
@@ -182,8 +183,8 @@ TEST(Fuzz, ReassemblerRandomSegments) {
     std::uint64_t delivered = 0;
     for (int seg = 0; seg < 50; ++seg) {
       const auto payload = random_bytes(rng, 128);
-      (void)reassembler.on_segment(
-          util::SimTime::from_seconds(seg),
+      (void)net::test::on_segment(
+          reassembler, util::SimTime::from_seconds(seg),
           static_cast<std::uint32_t>(rng.next_u64()), rng.bernoulli(0.05),
           rng.bernoulli(0.05), payload);
       EXPECT_GE(reassembler.delivered_bytes(), delivered);

@@ -3,6 +3,7 @@
 // accessors, behaviour profile edges.
 #include <gtest/gtest.h>
 
+#include "reassembly_helpers.hpp"
 #include "wm/core/behavior.hpp"
 #include "wm/core/decoder.hpp"
 #include "wm/net/packet_builder.hpp"
@@ -99,8 +100,9 @@ TEST(Reassembly, RstPacketDeliversNothing) {
       Ipv4Address(10, 0, 0, 2), tcp, util::Bytes(10, 0x41), 1);
   const auto decoded = decode_packet(packet);
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_TRUE(reassembler.on_packet(*decoded, FlowDirection::kClientToServer)
-                  .empty());
+  EXPECT_TRUE(
+      test::on_packet(reassembler, *decoded, FlowDirection::kClientToServer)
+          .empty());
 }
 
 }  // namespace
